@@ -66,11 +66,17 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a cap turns hostile input (a file of `[`) into an
+/// error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 256;
+
+/// Parse a complete JSON document; trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -84,12 +90,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing containers are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Json::Bool(false)),
@@ -155,18 +166,24 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape as one
+                // slice; both delimiters are ASCII, so the run ends on a
+                // char boundary and multi-byte UTF-8 passes through.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let s =
+                    std::str::from_utf8(&b[*pos..run]).map_err(|_| "invalid UTF-8 in string")?;
+                out.push_str(s);
+                *pos = run;
             }
         }
     }
     Err("unterminated string".to_string())
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -175,7 +192,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -188,7 +205,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -207,7 +224,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        fields.push((key, parse_value(b, pos)?));
+        fields.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -371,6 +388,29 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"k\" 1}").is_err());
+    }
+
+    #[test]
+    fn multibyte_utf8_round_trips_next_to_escapes() {
+        let j = obj(r#"{"k": "é\"→\n日本\u00e9x€", "ключ€": "\\ü"}"#);
+        assert_eq!(j.get("k").unwrap().as_str(), Some("é\"→\n日本éx€"));
+        assert_eq!(j.get("ключ€").unwrap().as_str(), Some("\\ü"));
+        assert_eq!(obj(r#""""#).as_str(), Some(""));
+        assert!(
+            parse("\"日本").is_err(),
+            "unterminated after a multi-byte run"
+        );
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 256"), "{err}");
+        // Far past the cap — a stack overflow without it — is an error too.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

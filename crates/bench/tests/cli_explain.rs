@@ -1,7 +1,10 @@
 //! Acceptance tests for the `pic explain` CLI surface (DESIGN.md §15):
 //! the unknown-subcommand error must name every recoverable entry point,
 //! and the projection document must be a deterministic function of the
-//! simulated runs — byte-identical across rayon pool widths.
+//! simulated runs — byte-identical across rayon pool widths and to the
+//! pinned golden file.
+
+mod golden;
 
 use std::process::Command;
 
@@ -51,7 +54,8 @@ fn unknown_scenario_lists_the_catalog() {
 
 /// The projection document is pure trace post-processing: running the
 /// same app at the same scale on a 1-thread and a 4-thread rayon pool
-/// must produce byte-identical `--json` artifacts.
+/// must produce byte-identical `--json` artifacts, equal to the golden
+/// file.
 #[test]
 fn explain_json_is_byte_identical_across_pool_widths() {
     let dir = std::env::temp_dir().join(format!("pic-explain-{}", std::process::id()));
@@ -88,5 +92,6 @@ fn explain_json_is_byte_identical_across_pool_widths() {
         docs[0], docs[1],
         "explain --json must not depend on the rayon pool width"
     );
+    golden::assert_matches("explain_linsolve.json", &docs[0]);
     let _ = std::fs::remove_dir_all(&dir);
 }

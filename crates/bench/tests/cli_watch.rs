@@ -1,8 +1,11 @@
 //! Acceptance tests for the `pic watch` and `pic help` CLI surfaces
-//! (DESIGN.md §16): the monitor document must be a deterministic
-//! function of the simulated runs — byte-identical across rayon pool
-//! widths — an unknown rule must enumerate the catalog, and the help
-//! table must name every dispatched subcommand.
+//! (DESIGN.md §16): the monitor document and the `pic timeline` view
+//! must be deterministic functions of the simulated runs — byte-identical
+//! across rayon pool widths and to the pinned golden files — an unknown
+//! rule must enumerate the catalog, and the help table must name every
+//! dispatched subcommand.
+
+mod golden;
 
 use std::process::Command;
 
@@ -16,10 +19,12 @@ const SUBCOMMANDS: [&str; 8] = [
     "report", "timeline", "chaos", "tenancy", "diff", "explain", "watch", "help",
 ];
 
-/// The monitor replay is pure trace post-processing on the simulated
-/// clock: the same app at the same scale on a 1-thread and a 4-thread
-/// rayon pool must produce byte-identical `--json` and `--csv`
-/// artifacts (instants carry a deterministic `(t, seq)` order).
+/// The monitor replay and the utilization timeline are pure trace
+/// post-processing on the simulated clock: the same app at the same
+/// scale on a 1-thread and a 4-thread rayon pool must produce
+/// byte-identical `--json` and `--csv` artifacts and `pic timeline`
+/// output (instants carry a deterministic `(t, seq)` order), equal to
+/// the golden files.
 #[test]
 fn watch_json_is_byte_identical_across_pool_widths() {
     let dir = std::env::temp_dir().join(format!("pic-watch-{}", std::process::id()));
@@ -27,6 +32,18 @@ fn watch_json_is_byte_identical_across_pool_widths() {
     let mut docs = Vec::new();
     let mut csvs = Vec::new();
     for threads in ["1", "4"] {
+        let timeline = pic()
+            .env("RAYON_NUM_THREADS", threads)
+            .args(["timeline", "--apps", "linsolve", "--scale", "0.01"])
+            .output()
+            .expect("spawn pic");
+        assert!(
+            timeline.status.success(),
+            "timeline failed on {threads} threads: {}",
+            String::from_utf8_lossy(&timeline.stderr)
+        );
+        golden::assert_matches("timeline_linsolve.txt", &timeline.stdout);
+
         let json = dir.join(format!("watch-{threads}.json"));
         let csv = dir.join(format!("watch-{threads}.csv"));
         let out = pic()
@@ -64,6 +81,8 @@ fn watch_json_is_byte_identical_across_pool_widths() {
         csvs[0], csvs[1],
         "watch --csv must not depend on the rayon pool width"
     );
+    golden::assert_matches("watch_linsolve.json", &docs[0]);
+    golden::assert_matches("watch_linsolve.csv", &csvs[0]);
     let doc = String::from_utf8(docs.remove(0)).unwrap();
     assert!(doc.starts_with("{\n  \"suite\": \"pic-watch\",\n"), "{doc}");
     let csv = String::from_utf8(csvs.remove(0)).unwrap();

@@ -27,19 +27,20 @@
 //!   [`ChaosInjector`]): node crashes, rack/bisection degradation windows,
 //!   spot-preemption waves and elastic resize, each emitted as trace
 //!   instants so recovery cost is attributable per phase.
-//! * [`timeline`] — time-resolved utilization derived from a trace: link
-//!   and slot-pool series against [`ClusterSpec`] capacities, bisection
-//!   saturated-seconds, and compute↔comms overlap
-//!   ([`UtilizationReport`]).
+//! * [`timeline`] — the one series pass over a finished trace (charges
+//!   apportioned onto per-class byte buckets, task spans spread over
+//!   busy buckets, the breakpoint rate sweep) and the time-resolved
+//!   utilization view on it: link and slot-pool series against
+//!   [`ClusterSpec`] capacities, bisection saturated-seconds, and
+//!   compute↔comms overlap ([`UtilizationReport`]).
 //! * [`hostprof`] — a host-side (wall-clock) stage profiler: RAII scope
 //!   timers over the engine/DFS/event-queue/driver hot paths with a
 //!   zero-cost disabled path, feeding the `BENCH_host.csv` trend gate
 //!   and `pic diff` host-stage attribution ([`HostProfile`]).
-//! * [`monitor`] — online run monitoring: a streaming [`Monitor`]
-//!   subscribing to span/instant events as they are recorded (the
-//!   [`TraceSink`] hook on [`Tracer`], one atomic load when detached),
-//!   sliding-window series on the simulated clock, a declarative
-//!   [`AlertRule`] catalog, and an incident log whose window integrals
+//! * [`monitor`] — run monitoring: [`Monitor::replay`] over a finished
+//!   trace builds sliding-window series on the simulated clock (a view
+//!   over the [`timeline`] series pass) and evaluates a declarative
+//!   [`AlertRule`] catalog into an incident log; window integrals
 //!   reconcile exactly with the [`TrafficLedger`] (the `pic watch`
 //!   subcommand and the BENCH `monitor` section).
 //! * [`whatif`] — counterfactual projection over recorded traces:
@@ -90,6 +91,6 @@ pub use tenancy::{
 };
 pub use timeline::{LinkClass, LinkSeries, Saturation, SlotSeries, UtilizationReport};
 pub use topology::{ClusterSpec, NodeId, RackId};
-pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, TraceSink, Tracer};
+pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, Tracer};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 pub use whatif::{Edit, Projection, Scenario, SensitivityReport, TimeWarp, WhatIf};

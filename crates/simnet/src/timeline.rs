@@ -26,13 +26,24 @@
 //! * rollups: busy/idle fraction per slot group, compute↔comms
 //!   overlap, peak/p95/mean utilization per link class.
 //!
+//! **The shared series pass.** This module is the one place where a
+//! finished trace's charges and task spans become series:
+//! `TrafficSeries` collects every charge and the horizon and apportions
+//! the bytes onto per-class buckets of a caller-chosen width,
+//! `spread_busy` spreads a task span's busy seconds over buckets, and
+//! `rate_segments` cuts a link's windowed charges into constant-rate
+//! segments at their breakpoints (`elementary_segments`, which the
+//! what-if time warp also cuts at). The utilization report here, the
+//! [`crate::monitor`] report and the [`crate::whatif`] projections are
+//! views over those three functions.
+//!
 //! Everything is a pure function of simulated time and byte counts, so
 //! the whole report — JSON, CSV, counter tracks — is byte-identical
 //! across rayon pool widths.
 
 use crate::report::{fmt_f64, peak, percentile, JsonWriter};
 use crate::topology::ClusterSpec;
-use crate::trace::{CounterTrack, Trace};
+use crate::trace::{CounterTrack, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -218,8 +229,8 @@ pub struct Charge {
 /// Extract every windowed ledger charge from `trace` (the `traffic`
 /// instants recorded by [`crate::traffic::TrafficLedger`]) along with
 /// the timeline horizon (max over span ends, instant timestamps and
-/// charge-window ends). Shared by the utilization grid, the exact
-/// saturation sweep and the `whatif` projection engine.
+/// charge-window ends). The only parser of `traffic` instants for the
+/// series views.
 pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
     let mut charges: Vec<Charge> = Vec::new();
     let mut horizon = 0.0f64;
@@ -253,10 +264,8 @@ pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
 /// Spread `bytes` over `[w0, w1]` on the grid by cumulative rounding:
 /// interval `i` receives `round(B·F(i)) − round(B·F(i−1))` where `F` is
 /// the fraction of the window covered up to the interval's right edge —
-/// shares are non-negative and sum to exactly `B`. Shared with
-/// [`crate::monitor`], whose bucket integrals inherit the same exactness
-/// guarantee.
-pub(crate) fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
+/// shares are non-negative and sum to exactly `B`.
+fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
     let n = series.len();
     if n == 0 || charge.bytes == 0 {
         return;
@@ -289,6 +298,83 @@ pub(crate) fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
         };
         *slot += cum.saturating_sub(cum_prev);
         cum_prev = cum.max(cum_prev);
+    }
+}
+
+/// The shared series pass over a finished trace: every ledger charge,
+/// the horizon, and per-traffic-class byte buckets on one grid. Each
+/// class series sums **exactly** (`==`) to the ledger total for that
+/// class, so link and recovery series — integer sums of class series —
+/// reconcile exactly too.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TrafficSeries {
+    /// Every charge, in recording order (see [`collect_charges`]).
+    pub charges: Vec<Charge>,
+    /// End of the timeline, simulated seconds.
+    pub horizon_s: f64,
+    /// Bucket width, simulated seconds, as the grid chose it.
+    pub dt: f64,
+    /// Number of buckets in every series.
+    pub buckets: usize,
+    /// Bytes per bucket, keyed by [`TrafficClass::label`]; every class
+    /// is present.
+    pub class_bytes: BTreeMap<&'static str, Vec<u64>>,
+}
+
+impl TrafficSeries {
+    /// Collect `trace`'s charges and apportion them onto the grid that
+    /// `grid` picks for the horizon: `grid(horizon) = (width, buckets)`.
+    pub(crate) fn over(trace: &Trace, grid: impl FnOnce(f64) -> (f64, usize)) -> TrafficSeries {
+        let (charges, horizon_s) = collect_charges(trace);
+        let (dt, buckets) = grid(horizon_s);
+        let mut class_bytes: BTreeMap<&'static str, Vec<u64>> = TrafficClass::ALL
+            .into_iter()
+            .map(|c| (c.label(), vec![0u64; buckets]))
+            .collect();
+        for ch in &charges {
+            let series = class_bytes
+                .get_mut(ch.class.label())
+                .expect("every class is pre-seeded");
+            apportion(series, ch, dt);
+        }
+        TrafficSeries {
+            charges,
+            horizon_s,
+            dt,
+            buckets,
+            class_bytes,
+        }
+    }
+
+    /// Bytes per bucket on `link`: the sum of its member classes.
+    pub(crate) fn link_bytes(&self, link: LinkClass) -> Vec<u64> {
+        let mut bytes = vec![0u64; self.buckets];
+        for class in TrafficClass::ALL {
+            if LinkClass::of(class) == link {
+                for (b, c) in bytes.iter_mut().zip(&self.class_bytes[class.label()]) {
+                    *b += c;
+                }
+            }
+        }
+        bytes
+    }
+}
+
+/// Spread a span's busy seconds over `busy`, a grid of width `dt`
+/// starting at 0: each bucket gains its overlap with `[t0, t1]` (times
+/// clamped at 0). Busy time past the last bucket is dropped.
+pub(crate) fn spread_busy(busy: &mut [f64], span: &Span, dt: f64) {
+    if dt <= 0.0 || busy.is_empty() {
+        return;
+    }
+    let (t0, t1) = (span.t0.max(0.0), span.t1.max(0.0));
+    let first = ((t0 / dt).floor() as usize).min(busy.len() - 1);
+    for (i, slot) in busy.iter_mut().enumerate().skip(first) {
+        let left = i as f64 * dt;
+        if left >= t1 {
+            break;
+        }
+        *slot += (t1.min((i + 1) as f64 * dt) - t0.max(left)).max(0.0);
     }
 }
 
@@ -326,34 +412,14 @@ impl UtilizationReport {
     ) -> UtilizationReport {
         assert!(intervals > 0, "need at least one grid interval");
 
-        // ---- Collect charges and the horizon. ---------------------------
-        let (charges, horizon) = collect_charges(trace);
-        let dt = grid_dt(horizon, intervals);
-
-        // ---- Per-class byte series (exact apportionment). ---------------
-        let mut class_bytes: BTreeMap<&'static str, Vec<u64>> = TrafficClass::ALL
-            .into_iter()
-            .map(|c| (c.label(), vec![0u64; intervals]))
-            .collect();
-        for ch in &charges {
-            let series = class_bytes
-                .get_mut(ch.class.label())
-                .expect("every class is pre-seeded");
-            apportion(series, ch, dt);
-        }
+        let series = TrafficSeries::over(trace, |h| (grid_dt(h, intervals), intervals));
+        let (horizon, dt) = (series.horizon_s, series.dt);
 
         // ---- Link rollups. ----------------------------------------------
         let mut links: BTreeMap<&'static str, LinkSeries> = BTreeMap::new();
         for link in LinkClass::ALL {
             let capacity = link.capacity(spec);
-            let mut bytes = vec![0u64; intervals];
-            for class in TrafficClass::ALL {
-                if LinkClass::of(class) == link {
-                    for (b, c) in bytes.iter_mut().zip(&class_bytes[class.label()]) {
-                        *b += c;
-                    }
-                }
-            }
+            let bytes = series.link_bytes(link);
             let util: Vec<f64> = bytes
                 .iter()
                 .map(|&b| {
@@ -401,19 +467,7 @@ impl UtilizationReport {
                     peak_occupancy: 0.0,
                 });
             entry.task_span_s += s.duration_s();
-            if dt <= 0.0 {
-                continue;
-            }
-            let (t0, t1) = (s.t0.max(0.0), s.t1.max(0.0));
-            let first = ((t0 / dt).floor() as usize).min(intervals - 1);
-            for (i, busy) in entry.busy_s.iter_mut().enumerate().skip(first) {
-                let left = i as f64 * dt;
-                if left >= t1 {
-                    break;
-                }
-                let overlap = (t1.min((i + 1) as f64 * dt) - t0.max(left)).max(0.0);
-                *busy += overlap;
-            }
+            spread_busy(&mut entry.busy_s, s, dt);
         }
         for series in slots.values_mut() {
             series.busy_integral_s = series.busy_s.iter().sum();
@@ -430,7 +484,7 @@ impl UtilizationReport {
         // ---- Bisection saturation (exact breakpoint sweep). -------------
         let bisection_saturation = saturation_sweep(
             trace,
-            &charges,
+            &series.charges,
             LinkClass::Bisection,
             LinkClass::Bisection.capacity(spec),
             SATURATION_THRESHOLD,
@@ -451,7 +505,7 @@ impl UtilizationReport {
         UtilizationReport {
             horizon_s: horizon,
             intervals,
-            class_bytes,
+            class_bytes: series.class_bytes,
             links,
             slots,
             bisection_saturation,
@@ -740,14 +794,74 @@ pub fn render_side_by_side(
     out
 }
 
-/// Exact saturated-seconds sweep for one link: the windowed charges
-/// define a piecewise-constant byte rate; every maximal segment whose
-/// rate is at or above `threshold × capacity` contributes its length,
-/// attributed to the iteration span kind enclosing it. Impulse charges
-/// have zero width and cannot contribute. Parameterized by `link` and
-/// `capacity` so the `whatif` engine can re-sweep under scaled
-/// capacities or filtered charge sets; the utilization report calls it
-/// with [`LinkClass::Bisection`] at the topology capacity.
+/// Every pair of consecutive distinct endpoints of `windows`, in time
+/// order: the elementary segments a breakpoint sweep visits.
+pub(crate) fn elementary_segments(windows: impl Iterator<Item = (f64, f64)>) -> Vec<(f64, f64)> {
+    let mut cuts: Vec<f64> = windows.flat_map(|(a, b)| [a, b]).collect();
+    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
+    cuts.dedup();
+    cuts.windows(2).map(|pair| (pair[0], pair[1])).collect()
+}
+
+/// One maximal stretch of constant byte rate on a link, between two
+/// consecutive charge-window breakpoints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RateSegment {
+    /// Segment start, simulated seconds.
+    pub t0: f64,
+    /// Segment end, simulated seconds.
+    pub t1: f64,
+    /// Summed rate of every window covering the segment, bytes/second.
+    pub rate: f64,
+    /// The part of `rate` carried by the `focus` class.
+    pub focus_rate: f64,
+}
+
+/// The exact breakpoint sweep: the windowed charges on `link` define a
+/// piecewise-constant byte rate, cut here at every window start and end.
+/// Returns every segment some window covers, in time order; `focus_rate`
+/// is the share of the `focus` class. Impulse and zero-byte charges
+/// carry no width and are ignored. Rates are summed in charge order.
+pub(crate) fn rate_segments(
+    charges: &[Charge],
+    link: LinkClass,
+    focus: Option<TrafficClass>,
+) -> Vec<RateSegment> {
+    let windows: Vec<&Charge> = charges
+        .iter()
+        .filter(|c| LinkClass::of(c.class) == link)
+        .filter(|c| c.w1 > c.w0 && c.bytes > 0)
+        .collect();
+    let mut out = Vec::new();
+    for (t0, t1) in elementary_segments(windows.iter().map(|c| (c.w0, c.w1))) {
+        let mut rate = 0.0;
+        let mut focus_rate = 0.0;
+        for c in windows.iter().filter(|c| c.w0 <= t0 && t1 <= c.w1) {
+            let r = c.bytes as f64 / (c.w1 - c.w0);
+            rate += r;
+            if focus == Some(c.class) {
+                focus_rate += r;
+            }
+        }
+        if rate > 0.0 {
+            out.push(RateSegment {
+                t0,
+                t1,
+                rate,
+                focus_rate,
+            });
+        }
+    }
+    out
+}
+
+/// Exact saturated-seconds sweep for one link: every `rate_segments`
+/// segment whose rate is at or above `threshold × capacity` contributes
+/// its length, attributed to the iteration span kind enclosing it.
+/// Parameterized by `link` and `capacity` so the `whatif` engine can
+/// re-sweep under scaled capacities or filtered charge sets; the
+/// utilization report calls it with [`LinkClass::Bisection`] at the
+/// topology capacity.
 pub fn saturation_sweep(
     trace: &Trace,
     charges: &[Charge],
@@ -755,31 +869,18 @@ pub fn saturation_sweep(
     capacity: f64,
     threshold: f64,
 ) -> Saturation {
-    let windows: Vec<&Charge> = charges
-        .iter()
-        .filter(|c| LinkClass::of(c.class) == link)
-        .filter(|c| c.w1 > c.w0 && c.bytes > 0)
-        .collect();
     let mut sat = Saturation {
         threshold_util: threshold,
         ..Saturation::default()
     };
-    if windows.is_empty() || capacity <= 0.0 {
+    if capacity <= 0.0 {
         return sat;
     }
-    let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
-    cuts.dedup();
-    for pair in cuts.windows(2) {
-        let (p, q) = (pair[0], pair[1]);
-        let rate: f64 = windows
-            .iter()
-            .filter(|c| c.w0 <= p && q <= c.w1)
-            .map(|c| c.bytes as f64 / (c.w1 - c.w0))
-            .sum();
+    for seg in rate_segments(charges, link, None) {
+        let (p, q) = (seg.t0, seg.t1);
         // `>=` with a one-ulp-scale slack: a transfer windowed at exactly
         // its serialization time computes to 1.0 up to rounding.
-        if rate < threshold * capacity * (1.0 - 1e-12) {
+        if seg.rate < threshold * capacity * (1.0 - 1e-12) {
             continue;
         }
         let len = q - p;
@@ -889,6 +990,39 @@ mod tests {
             assert_eq!(sat.be_s, 0.0);
             assert_eq!(sat.outside_s, 0.0);
         }
+    }
+
+    #[test]
+    fn rate_segments_cut_at_breakpoints_and_split_the_focus_class() {
+        let charge = |class, bytes, w0, w1| Charge {
+            class,
+            bytes,
+            w0,
+            w1,
+        };
+        let charges = [
+            charge(TrafficClass::ShuffleBisection, 400, 0.0, 4.0),
+            charge(TrafficClass::ModelUpdate, 200, 2.0, 6.0),
+            charge(TrafficClass::ModelUpdate, 999, 3.0, 3.0), // impulse
+            charge(TrafficClass::Merge, 500, 0.0, 1.0),       // other link
+        ];
+        let segs = rate_segments(
+            &charges,
+            LinkClass::Bisection,
+            Some(TrafficClass::ModelUpdate),
+        );
+        let got: Vec<(f64, f64, f64, f64)> = segs
+            .iter()
+            .map(|s| (s.t0, s.t1, s.rate, s.focus_rate))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0.0, 2.0, 100.0, 0.0),
+                (2.0, 4.0, 150.0, 50.0),
+                (4.0, 6.0, 50.0, 50.0)
+            ]
+        );
     }
 
     #[test]

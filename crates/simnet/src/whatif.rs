@@ -42,7 +42,10 @@
 use crate::report::{
     fmt_f64, percentile, CriticalPath, JsonWriter, QualityPoint, QualityReport, TIME_TO_WITHIN_PCTS,
 };
-use crate::timeline::{collect_charges, saturation_sweep, Charge, LinkClass, SATURATION_THRESHOLD};
+use crate::timeline::{
+    collect_charges, elementary_segments, rate_segments, saturation_sweep, Charge, LinkClass,
+    SATURATION_THRESHOLD,
+};
 use crate::topology::ClusterSpec;
 use crate::trace::{json_string, Span, Trace};
 use crate::traffic::TrafficClass;
@@ -256,12 +259,8 @@ impl TimeWarp {
         if raw.is_empty() {
             return TimeWarp::default();
         }
-        let mut cuts: Vec<f64> = raw.iter().flat_map(|iv| [iv.t0, iv.t1]).collect();
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite warp bounds"));
-        cuts.dedup();
         let mut ivs: Vec<WarpInterval> = Vec::new();
-        for pair in cuts.windows(2) {
-            let (p, q) = (pair[0], pair[1]);
+        for (p, q) in elementary_segments(raw.iter().map(|iv| (iv.t0, iv.t1))) {
             let covering: Vec<f64> = raw
                 .iter()
                 .filter(|iv| iv.t0 <= p && q <= iv.t1)
@@ -400,45 +399,6 @@ impl<'a> WhatIf<'a> {
         self.root_t1 - self.root_t0
     }
 
-    /// Elementary rate intervals for `link`: `(t0, t1, total rate,
-    /// rate of `focus` class)` over the breakpoints of the windowed
-    /// charges. Impulse charges carry no width and are ignored.
-    fn rate_intervals(
-        &self,
-        link: LinkClass,
-        focus: Option<TrafficClass>,
-    ) -> Vec<(f64, f64, f64, f64)> {
-        let windows: Vec<&Charge> = self
-            .charges
-            .iter()
-            .filter(|c| LinkClass::of(c.class) == link)
-            .filter(|c| c.w1 > c.w0 && c.bytes > 0)
-            .collect();
-        if windows.is_empty() {
-            return Vec::new();
-        }
-        let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
-        cuts.dedup();
-        let mut out = Vec::new();
-        for pair in cuts.windows(2) {
-            let (p, q) = (pair[0], pair[1]);
-            let mut rate = 0.0;
-            let mut focus_rate = 0.0;
-            for c in windows.iter().filter(|c| c.w0 <= p && q <= c.w1) {
-                let r = c.bytes as f64 / (c.w1 - c.w0);
-                rate += r;
-                if focus == Some(c.class) {
-                    focus_rate += r;
-                }
-            }
-            if rate > 0.0 {
-                out.push((p, q, rate, focus_rate));
-            }
-        }
-        out
-    }
-
     /// Build the warp for one edit (empty for the identity).
     fn warp_for(&self, edit: Edit) -> TimeWarp {
         let mut raw: Vec<WarpInterval> = Vec::new();
@@ -451,7 +411,8 @@ impl<'a> WhatIf<'a> {
                 if cap <= 0.0 {
                     return TimeWarp::default();
                 }
-                for (p, q, rate, _) in self.rate_intervals(link, None) {
+                for seg in rate_segments(&self.charges, link, None) {
+                    let (t0, t1, rate) = (seg.t0, seg.t1, seg.rate);
                     let saturated = rate >= SATURATION_THRESHOLD * cap * (1.0 - RATE_EPS);
                     if factor > 1.0 {
                         // More capacity can only help, and only where the
@@ -462,18 +423,14 @@ impl<'a> WhatIf<'a> {
                             } else {
                                 (rate / (factor * cap)).min(1.0)
                             };
-                            raw.push(WarpInterval {
-                                t0: p,
-                                t1: q,
-                                scale,
-                            });
+                            raw.push(WarpInterval { t0, t1, scale });
                         }
                     } else if rate > factor * cap * (1.0 + RATE_EPS) {
                         // Less capacity stretches every window whose rate
                         // no longer fits, saturated before or not.
                         raw.push(WarpInterval {
-                            t0: p,
-                            t1: q,
+                            t0,
+                            t1,
                             scale: rate / (factor * cap),
                         });
                     }
@@ -485,13 +442,13 @@ impl<'a> WhatIf<'a> {
                 if cap <= 0.0 {
                     return TimeWarp::default();
                 }
-                for (p, q, rate, class_rate) in self.rate_intervals(link, Some(class)) {
-                    let saturated = rate >= SATURATION_THRESHOLD * cap * (1.0 - RATE_EPS);
-                    if saturated && class_rate > 0.0 {
+                for seg in rate_segments(&self.charges, link, Some(class)) {
+                    let saturated = seg.rate >= SATURATION_THRESHOLD * cap * (1.0 - RATE_EPS);
+                    if saturated && seg.focus_rate > 0.0 {
                         raw.push(WarpInterval {
-                            t0: p,
-                            t1: q,
-                            scale: ((rate - class_rate) / rate).max(0.0),
+                            t0: seg.t0,
+                            t1: seg.t1,
+                            scale: ((seg.rate - seg.focus_rate) / seg.rate).max(0.0),
                         });
                     }
                 }

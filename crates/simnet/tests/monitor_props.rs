@@ -1,14 +1,12 @@
 //! Property-based tests for the online monitor: the sliding-window
 //! byte series must integrate to the **exact** ledger totals for any
 //! sequence of charges — windowed or impulse, awkward fractional
-//! windows included — and streaming ingestion must match post-hoc
-//! replay on the same run.
+//! windows included.
 
 use pic_simnet::monitor::{Monitor, MonitorConfig};
 use pic_simnet::trace::check;
-use pic_simnet::{ClusterSpec, SimClock, TraceSink, Tracer, TrafficClass, TrafficLedger};
+use pic_simnet::{ClusterSpec, Tracer, TrafficClass, TrafficLedger};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// One random charge: a class, a byte count small enough that even
 /// hundreds of charges cannot overflow `u64`, and an optional window
@@ -25,7 +23,7 @@ fn charge_strategy() -> impl Strategy<Value = (usize, u64, Option<(f64, f64)>)> 
 }
 
 fn traced_run(charges: &[(usize, u64, Option<(f64, f64)>)]) -> (Tracer, TrafficLedger) {
-    let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
+    let tracer = Tracer::standalone();
     let ledger = TrafficLedger::traced(tracer.clone());
     let root = tracer.begin_at("run", "driver", 0.0);
     for &(class_idx, bytes, window) in charges {
@@ -68,49 +66,4 @@ proptest! {
             snap.recovery_total()
         );
     }
-
-    /// A monitor streaming the run live and a monitor replaying the
-    /// finished trace produce identical reports — ingestion is
-    /// order-insensitive.
-    #[test]
-    fn streaming_matches_replay(
-        charges in proptest::collection::vec(charge_strategy(), 0..60),
-    ) {
-        let cfg = MonitorConfig::new(ClusterSpec::small());
-
-        let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
-        let live = Monitor::attach(cfg.clone(), &tracer).expect("valid config");
-        let ledger = TrafficLedger::traced(tracer.clone());
-        let root = tracer.begin_at("run", "driver", 0.0);
-        for &(class_idx, bytes, window) in &charges {
-            let class = TrafficClass::ALL[class_idx];
-            match window {
-                Some((w0, w1)) => ledger.add_over(class, bytes, w0, w1),
-                None => ledger.add(class, bytes),
-            }
-        }
-        tracer.end_at(root, 500.0);
-        tracer.detach_sink();
-        let trace = tracer.trace();
-        let streamed = live.finish(&trace);
-
-        let replayed = Monitor::replay(cfg, &trace).expect("valid config");
-        prop_assert_eq!(&streamed, &replayed);
-        prop_assert_eq!(streamed.to_json(0), replayed.to_json(0));
-    }
-}
-
-/// The `TraceSink` upcast used above keeps working if the monitor is
-/// also held as a plain trait object (regression guard for the
-/// attach/detach round-trip).
-#[test]
-fn attach_detach_round_trip() {
-    let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
-    let monitor = Monitor::attach(MonitorConfig::new(ClusterSpec::small()), &tracer).unwrap();
-    tracer.instant_at("x", "sched", 0.0, Vec::new());
-    assert_eq!(monitor.events_seen(), 1);
-    let sink: Arc<dyn TraceSink> = tracer.detach_sink().expect("attached");
-    tracer.instant_at("y", "sched", 1.0, Vec::new());
-    assert_eq!(monitor.events_seen(), 1, "detached: nothing further");
-    drop(sink);
 }
