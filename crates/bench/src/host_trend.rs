@@ -152,14 +152,24 @@ pub fn from_csv(doc: &str) -> Result<Vec<StageRow>, String> {
         if rec.len() != 5 {
             return Err(format!("bad row (want 5 fields): {rec:?}"));
         }
+        // A NaN share would pass any drift (`NaN > band` is false), so
+        // out-of-range numbers are rejected here rather than gated.
+        let median_total_s: f64 = rec[3]
+            .parse()
+            .map_err(|_| format!("bad median_total_s: {rec:?}"))?;
+        if !(median_total_s.is_finite() && median_total_s >= 0.0) {
+            return Err(format!("median_total_s must be finite and >= 0: {rec:?}"));
+        }
+        let share: f64 = rec[4].parse().map_err(|_| format!("bad share: {rec:?}"))?;
+        if !(0.0..=1.0).contains(&share) {
+            return Err(format!("share must lie in [0, 1]: {rec:?}"));
+        }
         rows.push(StageRow {
             stage: rec[0].clone(),
             calls: rec[1].parse().map_err(|_| format!("bad calls: {rec:?}"))?,
             bytes: rec[2].parse().map_err(|_| format!("bad bytes: {rec:?}"))?,
-            median_total_s: rec[3]
-                .parse()
-                .map_err(|_| format!("bad median_total_s: {rec:?}"))?,
-            share: rec[4].parse().map_err(|_| format!("bad share: {rec:?}"))?,
+            median_total_s,
+            share,
         });
     }
     Ok(rows)
@@ -230,6 +240,23 @@ mod tests {
     }
 
     #[test]
+    fn from_csv_rejects_non_finite_and_out_of_range_numbers() {
+        let doc = |t: &str, share: &str| format!("{CSV_HEADER}\nmap,1,0,{t},{share}\n");
+        assert!(from_csv(&doc("0.5", "1")).is_ok());
+        for (t, share) in [
+            ("0.5", "NaN"),
+            ("0.5", "inf"),
+            ("0.5", "-0.1"),
+            ("0.5", "1.5"),
+            ("NaN", "0.5"),
+            ("inf", "0.5"),
+            ("-1", "0.5"),
+        ] {
+            assert!(from_csv(&doc(t, share)).is_err(), "{t},{share}");
+        }
+    }
+
+    #[test]
     fn gate_flags_calls_bytes_and_share_cliffs() {
         let base = vec![
             row("map", 12, 4096, 0.6, 0.6),
@@ -257,5 +284,24 @@ mod tests {
         let missing = vec![row("map", 12, 4096, 1.0, 0.6)];
         assert_eq!(check(&base, &missing, SHARE_BAND).len(), 1);
         assert_eq!(check(&missing, &base, SHARE_BAND).len(), 1);
+
+        // The committed trend file passes against itself and fails once
+        // its busiest stage's median is inflated 50x (shares renormalized).
+        let committed = from_csv(include_str!("../../../BENCH_host.csv")).unwrap();
+        assert!(check(&committed, &committed, SHARE_BAND).is_empty());
+        let mut inflated = committed.clone();
+        let busiest = (0..inflated.len())
+            .max_by(|&a, &b| inflated[a].share.total_cmp(&inflated[b].share))
+            .unwrap();
+        inflated[busiest].median_total_s *= 50.0;
+        let sum: f64 = inflated.iter().map(|r| r.median_total_s).sum();
+        for r in &mut inflated {
+            r.share = r.median_total_s / sum;
+        }
+        let errs = check(&inflated, &committed, SHARE_BAND);
+        assert!(
+            errs.iter().any(|e| e.contains(&committed[busiest].stage)),
+            "{errs:?}"
+        );
     }
 }

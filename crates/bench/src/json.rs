@@ -670,6 +670,41 @@ mod tests {
         assert_eq!(apps[0].get("app").unwrap().as_str(), Some("kmeans"));
     }
 
+    /// The committed baseline diffs empty against itself, and pushing
+    /// the first occurrence of each gated key out of its band — a whole
+    /// unit for the quality and utilization fractions, 1e6 s (beyond even
+    /// the 100x band) for the durations — is reported under that key.
+    #[test]
+    fn committed_baseline_rejects_drift_in_each_gated_section() {
+        let text = include_str!("../../../BENCH_pic.json");
+        let baseline = obj(text);
+        assert!(diff(&baseline, &baseline, 1e-9).is_empty());
+        for (key, delta) in [
+            ("be_final_err", 1.0),
+            ("peak_util", 1.0),
+            ("delta_makespan_s", 1e6),
+            ("recovery_s", 1e6),
+            ("p99_tt_quality_s", 1e6),
+            ("incident_s", 1e6),
+        ] {
+            let field = format!("\"{key}\": ");
+            let start = text.find(&field).unwrap_or_else(|| panic!("{key} missing")) + field.len();
+            let len = text[start..]
+                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .unwrap();
+            let value: f64 = text[start..start + len].parse().unwrap();
+            let drifted = format!(
+                "{}{}{}",
+                &text[..start],
+                value + delta,
+                &text[start + len..]
+            );
+            let errs = diff(&baseline, &obj(&drifted), 1e-9);
+            assert_eq!(errs.len(), 1, "{key}: {errs:?}");
+            assert!(errs[0].contains(&format!(".{key}:")), "{key}: {errs:?}");
+        }
+    }
+
     #[test]
     fn tenancy_keys_fall_in_the_right_bands() {
         // The schema-v5 tenancy section introduces no new band rules:

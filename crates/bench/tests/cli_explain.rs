@@ -25,10 +25,22 @@ fn unknown_subcommand_lists_every_subcommand() {
         first,
         "error: unknown app or subcommand 'explian'; valid apps: kmeans, \
          pagerank, neuralnet, linsolve, smoothing; valid subcommands: \
-         report, timeline, chaos, tenancy, diff, explain, watch, help"
+         report, timeline, chaos, tenancy, diff, explain, watch, regress, \
+         repro, event-bench, host-trend, help"
     );
     for sub in [
-        "report", "timeline", "chaos", "tenancy", "diff", "explain", "watch", "help",
+        "report",
+        "timeline",
+        "chaos",
+        "tenancy",
+        "diff",
+        "explain",
+        "watch",
+        "regress",
+        "repro",
+        "event-bench",
+        "host-trend",
+        "help",
     ] {
         assert!(first.contains(sub), "'{sub}' missing from: {first}");
     }

@@ -13,10 +13,21 @@ fn pic() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pic"))
 }
 
-/// The eight dispatched subcommands, pinned: `pic help` (and bare
+/// The twelve dispatched subcommands, pinned: `pic help` (and bare
 /// `pic`) must list every one of them.
-const SUBCOMMANDS: [&str; 8] = [
-    "report", "timeline", "chaos", "tenancy", "diff", "explain", "watch", "help",
+const SUBCOMMANDS: [&str; 12] = [
+    "report",
+    "timeline",
+    "chaos",
+    "tenancy",
+    "diff",
+    "explain",
+    "watch",
+    "regress",
+    "repro",
+    "event-bench",
+    "host-trend",
+    "help",
 ];
 
 /// The monitor replay and the utilization timeline are pure trace
