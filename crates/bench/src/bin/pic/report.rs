@@ -79,27 +79,28 @@ struct Suite {
 /// runs, then the campaign, the tenancy section and `BENCH_pic.json` as
 /// `want` asks, all under the host profiler when requested.
 fn suite(ctx: &ExperimentCtx, apps: &[&str], want: Want) -> Result<Suite, String> {
-    if want.profile_host {
-        hostprof::reset();
-        hostprof::enable();
-    }
-    let runs = perf::collect(ctx, apps)?;
-    let cells = if want.cells || want.json {
-        chaos::campaign(ctx, &chaos::SCENARIOS)?
-    } else {
-        Vec::new()
+    let run = || -> Result<_, String> {
+        let runs = perf::collect(ctx, apps)?;
+        let cells = if want.cells || want.json {
+            chaos::campaign(ctx, &chaos::SCENARIOS)?
+        } else {
+            Vec::new()
+        };
+        // The multi-tenant packing section rides along only with the JSON
+        // artifact — it pays for 12 solo profile runs.
+        let tenancy_section = if want.json {
+            Some(tenancy::section(ctx)?)
+        } else {
+            None
+        };
+        Ok((runs, cells, tenancy_section))
     };
-    // The multi-tenant packing section rides along only with the JSON
-    // artifact — it pays for 12 solo profile runs.
-    let tenancy_section = if want.json {
-        Some(tenancy::section(ctx)?)
+    let ((runs, cells, tenancy_section), host_profile) = if want.profile_host {
+        let (out, profile) = hostprof::profile(run);
+        (out?, Some(profile))
     } else {
-        None
+        (run()?, None)
     };
-    let host_profile = want.profile_host.then(|| {
-        hostprof::disable();
-        hostprof::snapshot()
-    });
     let json = tenancy_section
         .map(|t| perf::bench_json(ctx, &runs, &cells, Some(&t), host_profile.as_ref()));
     Ok(Suite {

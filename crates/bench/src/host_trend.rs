@@ -56,10 +56,8 @@ fn median(sorted: &[f64]) -> f64 {
     }
 }
 
-/// Run the trend workload `reps` times with profiling enabled and reduce
-/// to per-stage rows. Flips the global profiler; the caller must ensure
-/// no concurrent engine work is running (binaries are fine, parallel
-/// test harnesses need a lock).
+/// Run the trend workload `reps` times under the host profiler and
+/// reduce to per-stage rows.
 pub fn measure(scale: f64, reps: usize) -> Result<Vec<StageRow>, String> {
     if reps == 0 {
         return Err("reps must be positive".into());
@@ -67,12 +65,9 @@ pub fn measure(scale: f64, reps: usize) -> Result<Vec<StageRow>, String> {
     let ctx = ExperimentCtx { scale };
     let mut profiles = Vec::with_capacity(reps);
     for _ in 0..reps {
-        hostprof::reset();
-        hostprof::enable();
-        let run = perf::collect(&ctx, &["kmeans"]);
-        hostprof::disable();
+        let (run, profile) = hostprof::profile(|| perf::collect(&ctx, &["kmeans"]));
         run?;
-        profiles.push(hostprof::snapshot());
+        profiles.push(profile);
     }
 
     let first = &profiles[0];

@@ -1,23 +1,15 @@
 //! Acceptance tests for the DESIGN.md §14 host profiler: the per-stage
 //! host times must reconcile with real wall-clock, the trend measurement
-//! must be deterministic in its exact-gated columns, and the disabled
-//! profiler must record nothing.
+//! must be deterministic in its exact-gated columns, and work outside a
+//! profiled region must record nothing into it.
 //!
-//! These tests flip the process-global profiler, so every test in this
-//! binary serializes on one lock — and they live in their own
-//! integration binary so no other test's engine work can record into the
-//! registry while profiling is enabled.
+//! Each test profiles its own region with `hostprof::profile`, so the
+//! tests run in parallel without seeing each other's scopes.
 
 use pic_bench::experiments::common::{compare, cost};
 use pic_bench::experiments::{report as perf, ExperimentCtx};
 use pic_bench::host_trend;
 use pic_simnet::hostprof::{self, Stage};
-use std::sync::{Mutex, MutexGuard};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The engine-level stages whose scopes never overlap each other. The
 /// driver rollups (`ic_iterate`, `pic_solve`, `pic_merge`) nest these
@@ -52,7 +44,6 @@ const ENGINE_STAGES: [Stage; 10] = [
 fn engine_stage_times_reconcile_with_wall_clock() {
     use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 
-    let _g = lock();
     let (n, k, dim) = (8_000, 100, 3);
     let app = KMeansApp::new(k, dim, 1.0);
     let pts = gaussian_mixture(n, k, dim, 1000.0, 40.0, 21);
@@ -67,13 +58,11 @@ fn engine_stage_times_reconcile_with_wall_clock() {
         .num_threads(1)
         .build()
         .unwrap();
-    hostprof::reset();
-    hostprof::enable();
     let t0 = std::time::Instant::now();
-    let cmp = pool.install(|| compare(&spec, &app, pts, init, 256, 64, cost::kmeans()));
+    let (cmp, profile) = hostprof::profile(|| {
+        pool.install(|| compare(&spec, &app, pts, init, 256, 64, cost::kmeans()))
+    });
     let wall = t0.elapsed().as_secs_f64();
-    hostprof::disable();
-    let profile = hostprof::snapshot();
     assert!(
         cmp.ic.iterations > 0 && cmp.pic.be_iterations > 0,
         "comparison must actually run"
@@ -118,7 +107,6 @@ fn engine_stage_times_reconcile_with_wall_clock() {
 /// cleanly against itself — the re-run half of the CI contract.
 #[test]
 fn host_trend_rerun_passes_its_own_gate() {
-    let _g = lock();
     let a = host_trend::measure(0.01, 2).unwrap();
     let b = host_trend::measure(0.01, 2).unwrap();
     let errs = host_trend::check(&a, &b, host_trend::SHARE_BAND);
@@ -143,14 +131,16 @@ fn host_trend_rerun_passes_its_own_gate() {
     assert!(!errs.is_empty(), "inflated stage must trip the share gate");
 }
 
-/// With the profiler disabled (the default), a full suite run records
-/// nothing — the scopes threaded through the engine are inert.
+/// A suite run on a thread outside the profiled region records nothing
+/// into it, even while the region is open — the scopes threaded through
+/// the engine only reach the profiler of the thread that opened them.
 #[test]
-fn disabled_profiler_records_nothing() {
-    let _g = lock();
-    hostprof::reset();
-    assert!(!hostprof::is_enabled());
+fn unprofiled_work_records_nothing() {
     let ctx = ExperimentCtx { scale: 0.01 };
-    perf::collect(&ctx, &["linsolve"]).unwrap();
-    assert!(hostprof::snapshot().stages.is_empty());
+    let ((), profile) = hostprof::profile(|| {
+        std::thread::scope(|s| {
+            s.spawn(|| perf::collect(&ctx, &["linsolve"]).unwrap());
+        });
+    });
+    assert!(profile.stages.is_empty(), "{}", profile.render());
 }

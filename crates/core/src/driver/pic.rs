@@ -26,7 +26,7 @@ use crate::quality::QualityProbe;
 use crate::report::{PicReport, TrajectoryPoint};
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
-use pic_simnet::hostprof::{self, Stage};
+use pic_simnet::hostprof::{self, Profiler, Stage};
 use pic_simnet::scheduler::{SchedulerOptions, SlotScheduler, TaskSpec};
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
@@ -246,13 +246,14 @@ pub fn run_pic<A: PicApp + QualityProbe>(
         engine.advance(bcast_s);
 
         // Local iterations: solve every sub-problem for real, in parallel.
+        let hp = Profiler::current();
         let solved: Vec<(A::Model, usize, f64)> = parts_records
             .par_iter()
             .zip(sub_models.par_iter())
             .enumerate()
             .map(|(p, (records, sm))| {
                 let t0 = Instant::now();
-                let _hp = hostprof::scope(Stage::PicSolve);
+                let _hp = hp.scope(Stage::PicSolve);
                 let (m, iters) = app.solve_local(p, records, sm, cap);
                 (m, iters, t0.elapsed().as_secs_f64())
             })

@@ -8,7 +8,7 @@ use crate::traits::{Combiner, DynCombiner, MapContext, Mapper, ReduceContext, Re
 use parking_lot::Mutex;
 use pic_dfs::Dfs;
 use pic_simnet::chaos::{ChaosInjector, FaultPlan};
-use pic_simnet::hostprof::{self, Stage};
+use pic_simnet::hostprof::{self, Profiler, Stage};
 use pic_simnet::scheduler::{Locality, ScheduleOutcome, SchedulerOptions, SlotScheduler, TaskSpec};
 use pic_simnet::topology::{ClusterSpec, NodeId};
 use pic_simnet::trace::{Payload, Trace, Tracer};
@@ -325,6 +325,7 @@ impl Engine {
 
         // (emitted pairs, counters, host seconds, input records) per task.
         type MapOnlyOut<K, V> = (Vec<(K, V)>, crate::counters::Counters, f64, usize);
+        let hp = Profiler::current();
         let host_map = Instant::now();
         let map_outs: Vec<MapOnlyOut<M::K, M::V>> = input
             .splits
@@ -333,7 +334,7 @@ impl Engine {
                 let t0 = Instant::now();
                 let mut ctx = MapContext::new();
                 {
-                    let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
+                    let _hp = hp.scope_bytes(Stage::Map, split.bytes);
                     for r in &split.records {
                         mapper.map(r, &mut ctx);
                     }
@@ -546,6 +547,8 @@ impl Engine {
             shuffle_bytes: u64,
         }
 
+        // Scopes on pool workers record through the caller's profiler.
+        let hp = Profiler::current();
         let host_map = Instant::now();
         let map_outs: Vec<MapOut<M::K, M::V>> = input
             .splits
@@ -554,7 +557,7 @@ impl Engine {
                 let t0 = Instant::now();
                 let mut ctx = MapContext::partitioned(cfg.reducers);
                 {
-                    let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
+                    let _hp = hp.scope_bytes(Stage::Map, split.bytes);
                     for r in &split.records {
                         mapper.map(r, &mut ctx);
                     }
@@ -566,7 +569,7 @@ impl Engine {
                     // Each key hashes to exactly one bucket, so combining
                     // per bucket groups the same runs as combining the
                     // task's whole output.
-                    let _hp = hostprof::scope_bytes(Stage::Combine, raw_bytes);
+                    let _hp = hp.scope_bytes(Stage::Combine, raw_bytes);
                     for b in &mut buckets {
                         *b = combine_run(c, std::mem::take(b));
                     }
@@ -750,8 +753,13 @@ impl Engine {
                 }
             }
         }
-        let grouped: Vec<Grouped<M::K, M::V>> =
-            reducer_chunks.into_par_iter().map(group_bucket).collect();
+        let grouped: Vec<Grouped<M::K, M::V>> = reducer_chunks
+            .into_par_iter()
+            .map(|chunks| {
+                let _hp = hp.scope(Stage::SortMergeGroup);
+                group_bucket(chunks)
+            })
+            .collect();
         stats.host_partition_s = host_partition.elapsed().as_secs_f64();
 
         // Simulated time charges the sort/group to the reducers' merge
@@ -786,7 +794,7 @@ impl Engine {
                 let mut ctx = ReduceContext::new();
                 let mut values = 0usize;
                 {
-                    let _hp = hostprof::scope(Stage::Reduce);
+                    let _hp = hp.scope(Stage::Reduce);
                     for (k, vs) in &bucket {
                         values += vs.len();
                         reducer.reduce(k, vs, &mut ctx);
@@ -894,7 +902,6 @@ type Grouped<K, V> = Vec<(K, Vec<V>)>;
 ///   values keep task-major emission order (stable sort preserves the
 ///   concatenation order of equal keys).
 fn group_bucket<K: Ord, V>(chunks: Chunks<K, V>) -> Grouped<K, V> {
-    let _hp = hostprof::scope(Stage::SortMergeGroup);
     let total: usize = chunks.iter().map(Vec::len).sum();
     let mut pairs: Vec<(K, V)> = Vec::with_capacity(total);
     for chunk in chunks {
@@ -1165,13 +1172,11 @@ mod tests {
         pic_simnet::trace::check::validate(&trace, &t).expect("faulty trace still validates");
     }
 
-    fn mapper_mod() -> FnMapper<u64, u64, u64, impl Fn(&u64, &mut MapContext<u64, u64>)> {
+    fn mapper_mod() -> impl Mapper<In = u64, K = u64, V = u64> {
         FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 16, *x))
     }
 
-    fn reducer_sum(
-    ) -> FnReducer<u64, u64, (u64, u64), impl Fn(&u64, &[u64], &mut ReduceContext<(u64, u64)>)>
-    {
+    fn reducer_sum() -> impl Reducer<K = u64, V = u64, Out = (u64, u64)> {
         FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
             ctx.emit((*k, vs.iter().sum()))
         })

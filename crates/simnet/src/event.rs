@@ -17,7 +17,7 @@
 //! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept public
 //!   as the reference oracle for the differential property tests
 //!   (`tests/event_props.rs`) and as the baseline for the event-core
-//!   benchmarks (`event_bench`).
+//!   benchmark (`pic event-bench`).
 //!
 //! Ordering in the calendar queue never compares floats across buckets:
 //! each entry carries an integer lap (`floor(time / width)` at insert
@@ -66,7 +66,7 @@ impl<T> PartialOrd for Entry<T> {
 /// This is the original `BinaryHeap`-backed implementation of
 /// [`EventQueue`]. It stays public so the differential property tests can
 /// replay arbitrary interleavings against both queues, and so the
-/// `event_bench` harness can report calendar-vs-heap host time.
+/// `pic event-bench` harness can report calendar-vs-heap host time.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Entry<T>>,
@@ -216,7 +216,7 @@ impl<T> EventQueue<T> {
         // across this ~100ns body costs real time even when inert (it
         // pins state across the unwind edges), and push/pop dominate the
         // hold benchmark the event core is gated on.
-        if hostprof::is_enabled() {
+        if hostprof::recording() {
             let _hp = hostprof::scope(Stage::EventQueueOps);
             return self.push_impl(time, payload);
         }
@@ -319,7 +319,7 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        if hostprof::is_enabled() {
+        if hostprof::recording() {
             let _hp = hostprof::scope(Stage::EventQueueOps);
             return self.pop_impl();
         }

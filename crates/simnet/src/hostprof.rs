@@ -4,35 +4,43 @@
 //! time; nothing in the repo measured where *host* wall-clock goes inside
 //! the MapReduce engine, the DFS, the calendar queue or the drivers. This
 //! module is that missing layer: scoped RAII stage timers
-//! ([`ScopeGuard`]) recording into a static per-[`Stage`] registry —
-//! call counts, bytes processed (throughput), total/p50/p95/max seconds
-//! over invocations — behind a zero-cost-when-disabled guard with the
-//! same discipline as `Tracer`'s disabled path:
+//! ([`ScopeGuard`]) recording into a per-[`Stage`] registry — call
+//! counts, bytes processed (throughput), total/p50/p95/max seconds over
+//! invocations.
 //!
-//! * disabled (the default): [`scope`] does one relaxed atomic load and
+//! [`profile`] is the one entry point: it runs a closure with a fresh
+//! registry installed on the calling thread and returns the closure's
+//! result with the [`HostProfile`] it recorded. Nothing is global, so
+//! two profiled regions on different threads (two tests, say) never see
+//! each other's scopes. Scopes follow the same discipline as `Tracer`'s
+//! disabled path:
+//!
+//! * outside [`profile`]: [`scope`] does one thread-local load and
 //!   returns a guard holding `None` — no clock read, no allocation, no
 //!   lock, and the guard's `Drop` is a no-op;
-//! * enabled: the guard stamps an [`Instant`] on construction and on
+//! * inside: the guard stamps an [`Instant`] on construction and on
 //!   drop folds the elapsed seconds (plus any bytes attached) into the
 //!   stage's accumulator under a short mutex.
 //!
-//! The registry is **thread-aware** in the sense that guards may be
-//! created and dropped on any thread concurrently (the engine's map /
-//! reduce closures run on the rayon pool); per-stage totals are summed
-//! across threads. Consequently, on a pool wider than one thread the
-//! summed stage times can legitimately *exceed* the enclosing wall-clock
+//! Work that fans out onto the rayon pool runs on threads [`profile`]
+//! never saw, so it takes the calling thread's handle with
+//! [`Profiler::current`] before the `par_iter` and opens its scopes
+//! through that handle ([`Profiler::scope`]); a handle is `Send + Sync`
+//! and records from any thread. Per-stage totals are summed across
+//! threads. Consequently, on a pool wider than one thread the summed
+//! stage times can legitimately *exceed* the enclosing wall-clock
 //! interval — they are CPU-seconds, not elapsed seconds. Cross-run and
 //! cross-machine comparisons should therefore gate on **call counts and
 //! bytes** (deterministic) exactly, and on **time shares** of the profile
 //! total (machine-relative) with a generous band — see DESIGN.md §14.
 //!
-//! Consumers: `event_bench --host-profile` (the `BENCH_host.csv` trend
-//! gate), the `host_profile` section of `BENCH_pic.json`, and
-//! `pic diff`'s host-stage delta attribution.
+//! Consumers: `pic host-trend` (the `BENCH_host.csv` trend gate), the
+//! `host_profile` section of `BENCH_pic.json` (`pic report/regress
+//! --profile-host`), and `pic diff`'s host-stage delta attribution.
 
 use crate::report::nearest_rank;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Hot-path stages the profiler attributes host time to.
@@ -140,46 +148,107 @@ impl StageAcc {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-const STAGE_COUNT: usize = Stage::ALL.len();
-
-static REGISTRY: [Mutex<StageAcc>; STAGE_COUNT] = [const {
-    Mutex::new(StageAcc {
-        calls: 0,
-        bytes: 0,
-        total_s: 0.0,
-        max_s: 0.0,
-        samples: Vec::new(),
-    })
-}; STAGE_COUNT];
-
-/// Turn the profiler on. Affects guards created *after* this call.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+/// One profiled region's accumulators, one per stage.
+#[derive(Debug, Default)]
+struct Registry {
+    stages: [Mutex<StageAcc>; Stage::ALL.len()],
 }
 
-/// Turn the profiler off (the default). Guards already started still
-/// record on drop, so enclosing scopes stay internally consistent.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether stage scopes currently record.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clear every stage accumulator (counts, bytes, times, samples).
-pub fn reset() {
-    for slot in &REGISTRY {
-        *slot.lock().expect("hostprof registry poisoned") = StageAcc::default();
+impl Registry {
+    /// Every stage with at least one recorded call, in [`Stage::ALL`]
+    /// order.
+    fn profile(&self) -> HostProfile {
+        let mut stages = Vec::new();
+        for stage in Stage::ALL {
+            let acc = self.stages[stage.index()]
+                .lock()
+                .expect("hostprof registry poisoned");
+            if acc.calls == 0 {
+                continue;
+            }
+            let mut sorted = acc.samples.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+            stages.push(StageProfile {
+                stage,
+                calls: acc.calls,
+                bytes: acc.bytes,
+                total_s: acc.total_s,
+                p50_s: nearest_rank(&sorted, 50.0),
+                p95_s: nearest_rank(&sorted, 95.0),
+                max_s: acc.max_s,
+            });
+        }
+        HostProfile { stages }
     }
 }
 
-/// Open a timing scope for `stage`; the elapsed host time is recorded
-/// when the returned guard drops. When the profiler is disabled this is
-/// one relaxed atomic load — no clock read, no allocation.
+thread_local! {
+    /// The profiler of the innermost [`profile`] call on this thread.
+    static CURRENT: RefCell<Profiler> = const { RefCell::new(Profiler(None)) };
+}
+
+/// Run `work` with a fresh registry installed on the calling thread and
+/// return its result with everything it recorded: scopes opened on this
+/// thread through [`scope`], and scopes opened on any thread through a
+/// [`Profiler::current`] handle taken inside `work`. Calls nest; the
+/// outer registry is restored when `work` returns or unwinds.
+pub fn profile<R>(work: impl FnOnce() -> R) -> (R, HostProfile) {
+    struct Restore(Profiler);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(std::mem::take(&mut self.0));
+        }
+    }
+    let registry = Arc::new(Registry::default());
+    let restore = Restore(CURRENT.replace(Profiler(Some(Arc::clone(&registry)))));
+    let out = work();
+    drop(restore);
+    (out, registry.profile())
+}
+
+/// Whether scopes on this thread record (inside [`profile`]). One
+/// thread-local load — the event queue branches on it rather than hold
+/// an inert guard across its hot path.
+#[inline]
+pub(crate) fn recording() -> bool {
+    CURRENT.with_borrow(|p| p.0.is_some())
+}
+
+/// A handle on the registry [`profile`] installed — or on none, in which
+/// case its scopes record nothing. Take it with [`Profiler::current`]
+/// before fanning work out onto the pool and open scopes through it on
+/// the workers.
+#[derive(Debug, Clone, Default)]
+pub struct Profiler(Option<Arc<Registry>>);
+
+impl Profiler {
+    /// The calling thread's profiler: the innermost enclosing
+    /// [`profile`] call's registry, or a handle that records nothing.
+    pub fn current() -> Profiler {
+        CURRENT.with_borrow(Profiler::clone)
+    }
+
+    /// Open a timing scope for `stage` on this handle's registry.
+    #[inline]
+    pub fn scope(&self, stage: Stage) -> ScopeGuard {
+        self.scope_bytes(stage, 0)
+    }
+
+    /// [`Profiler::scope`] with a byte count attached up front.
+    #[inline]
+    pub fn scope_bytes(&self, stage: Stage, bytes: u64) -> ScopeGuard {
+        ScopeGuard {
+            stage,
+            bytes,
+            start: self.0.as_ref().map(|r| (Arc::clone(r), Instant::now())),
+        }
+    }
+}
+
+/// Open a timing scope for `stage` on the calling thread's profiler; the
+/// elapsed host time is recorded when the returned guard drops. Outside
+/// [`profile`] this is one thread-local load — no clock read, no
+/// allocation.
 #[inline]
 pub fn scope(stage: Stage) -> ScopeGuard {
     scope_bytes(stage, 0)
@@ -189,16 +258,7 @@ pub fn scope(stage: Stage) -> ScopeGuard {
 /// accounting); more bytes can be added via [`ScopeGuard::add_bytes`].
 #[inline]
 pub fn scope_bytes(stage: Stage, bytes: u64) -> ScopeGuard {
-    let start = if is_enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    ScopeGuard {
-        stage,
-        bytes,
-        start,
-    }
+    CURRENT.with_borrow(|p| p.scope_bytes(stage, bytes))
 }
 
 /// RAII stage timer returned by [`scope`]; records on drop.
@@ -207,12 +267,12 @@ pub fn scope_bytes(stage: Stage, bytes: u64) -> ScopeGuard {
 pub struct ScopeGuard {
     stage: Stage,
     bytes: u64,
-    start: Option<Instant>,
+    start: Option<(Arc<Registry>, Instant)>,
 }
 
 impl ScopeGuard {
     /// Attribute `bytes` more processed bytes to this invocation.
-    /// No-op when the profiler was disabled at scope entry.
+    /// No-op when the scope records nothing.
     #[inline]
     pub fn add_bytes(&mut self, bytes: u64) {
         if self.start.is_some() {
@@ -224,23 +284,22 @@ impl ScopeGuard {
 impl Drop for ScopeGuard {
     #[inline]
     fn drop(&mut self) {
-        let Some(start) = self.start else {
-            return; // disabled at entry: zero-cost path
-        };
-        record_scope(self.stage, start, self.bytes);
+        if let Some((registry, start)) = self.start.take() {
+            record_scope(&registry, self.stage, start, self.bytes);
+        }
     }
 }
 
 #[cold]
-fn record_scope(stage: Stage, start: Instant, bytes: u64) {
+fn record_scope(registry: &Registry, stage: Stage, start: Instant, bytes: u64) {
     let secs = start.elapsed().as_secs_f64();
-    REGISTRY[stage.index()]
+    registry.stages[stage.index()]
         .lock()
         .expect("hostprof registry poisoned")
         .record(secs, bytes);
 }
 
-/// Aggregated statistics for one stage, as captured by [`snapshot`].
+/// Aggregated statistics for one stage, as captured by [`profile`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
     /// Which stage.
@@ -258,17 +317,6 @@ pub struct StageProfile {
     pub p95_s: f64,
     /// Longest invocation seconds.
     pub max_s: f64,
-}
-
-impl StageProfile {
-    /// Throughput in bytes per summed host second (0 when untimed).
-    pub fn bytes_per_s(&self) -> f64 {
-        if self.total_s > 0.0 {
-            self.bytes as f64 / self.total_s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A point-in-time copy of the whole registry: every stage with at least
@@ -300,35 +348,12 @@ impl HostProfile {
         }
     }
 
-    /// Deterministically ordered JSON object (stage label → stats). The
-    /// embedding key in `BENCH_pic.json` is `host_profile`, which the
-    /// regression differ skips wholesale like every `host_`-prefixed
-    /// key, so host jitter never fails the simulated-time gate.
-    pub fn to_json(&self, indent: usize) -> String {
-        use crate::report::{fmt_f64, JsonWriter};
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
-        w.field("total_s", &fmt_f64(self.total_s()));
-        w.open_key("stages", "{");
-        for s in &self.stages {
-            w.open_key(s.stage.label(), "{");
-            w.field("calls", &s.calls.to_string());
-            w.field("bytes", &s.bytes.to_string());
-            w.field("total_s", &fmt_f64(s.total_s));
-            w.field("share", &fmt_f64(self.share(s.stage)));
-            w.field("p50_s", &fmt_f64(s.p50_s));
-            w.field("p95_s", &fmt_f64(s.p95_s));
-            w.field("max_s", &fmt_f64(s.max_s));
-            w.close("}");
-        }
-        w.close("}");
-        w.close("}");
-        w.finish()
-    }
-
-    /// Single-line compact form of [`HostProfile::to_json`], for embedding
-    /// as one physical line inside a larger report so line-oriented
-    /// consumers (determinism checks that strip `host_` lines) stay intact.
+    /// Deterministically ordered JSON object (stage label → stats) on one
+    /// physical line, so line-oriented consumers (determinism checks that
+    /// strip `host_` lines) stay intact. The embedding key in
+    /// `BENCH_pic.json` is `host_profile`, which the regression differ
+    /// skips wholesale like every `host_`-prefixed key, so host jitter
+    /// never fails the simulated-time gate.
     pub fn to_json_line(&self) -> String {
         use crate::report::fmt_f64;
         use std::fmt::Write as _;
@@ -384,73 +409,37 @@ impl HostProfile {
     }
 }
 
-/// Snapshot the registry (stages with zero calls omitted). Does not
-/// reset; pair with [`reset`] to bracket a measured region.
-pub fn snapshot() -> HostProfile {
-    let mut stages = Vec::new();
-    for stage in Stage::ALL {
-        let acc = REGISTRY[stage.index()]
-            .lock()
-            .expect("hostprof registry poisoned");
-        if acc.calls == 0 {
-            continue;
-        }
-        let mut sorted = acc.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        stages.push(StageProfile {
-            stage,
-            calls: acc.calls,
-            bytes: acc.bytes,
-            total_s: acc.total_s,
-            p50_s: nearest_rank(&sorted, 50.0),
-            p95_s: nearest_rank(&sorted, 95.0),
-            max_s: acc.max_s,
-        });
-    }
-    HostProfile { stages }
-}
-
-/// Serialize tests (and test-adjacent callers) that flip the global
-/// enable flag, so parallel test threads cannot observe each other's
-/// profiling windows.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_scopes_record_nothing() {
-        let _l = test_lock();
-        disable();
-        reset();
+    fn scopes_outside_profile_record_nothing() {
+        assert!(!recording());
         {
             let mut g = scope_bytes(Stage::Map, 100);
-            g.add_bytes(50); // no-op while disabled
+            g.add_bytes(50); // no-op outside `profile`
         }
         drop(scope(Stage::Reduce));
-        let prof = snapshot();
+        drop(Profiler::current().scope(Stage::Reduce));
+        let ((), prof) = profile(|| assert!(recording()));
+        assert!(!recording(), "profile uninstalls its registry");
         assert!(prof.stages.is_empty(), "{prof:?}");
         assert_eq!(prof.total_s(), 0.0);
     }
 
     #[test]
-    fn enabled_scopes_accumulate_calls_bytes_and_time() {
-        let _l = test_lock();
-        enable();
-        reset();
-        for i in 0..5u64 {
-            let mut g = scope_bytes(Stage::Map, 10);
-            g.add_bytes(i);
-            std::hint::black_box(i);
-        }
-        drop(scope(Stage::Reduce));
-        let prof = snapshot();
-        disable();
+    fn profiled_scopes_accumulate_calls_bytes_and_time() {
+        let (sum, prof) = profile(|| {
+            for i in 0..5u64 {
+                let mut g = scope_bytes(Stage::Map, 10);
+                g.add_bytes(i);
+                std::hint::black_box(i);
+            }
+            drop(scope(Stage::Reduce));
+            7
+        });
+        assert_eq!(sum, 7, "the closure's result comes back");
         let map = prof.get(Stage::Map).expect("map recorded");
         assert_eq!(map.calls, 5);
         // 10 bytes per call plus the call index (0..=4).
@@ -468,36 +457,61 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let _l = test_lock();
-        enable();
-        reset();
-        drop(scope(Stage::Schedule));
-        assert_eq!(snapshot().stages.len(), 1);
-        reset();
-        disable();
-        assert!(snapshot().stages.is_empty());
+    fn each_profile_starts_empty_and_nests() {
+        let ((), first) = profile(|| drop(scope(Stage::Schedule)));
+        let (inner, outer) = profile(|| {
+            let ((), inner) = profile(|| drop(scope(Stage::Reduce)));
+            drop(scope(Stage::Map)); // the outer registry is back
+            inner
+        });
+        let stages = |p: &HostProfile| p.stages.iter().map(|s| s.stage).collect::<Vec<_>>();
+        assert_eq!(stages(&first), [Stage::Schedule]);
+        assert_eq!(stages(&inner), [Stage::Reduce]);
+        assert_eq!(stages(&outer), [Stage::Map]);
     }
 
     #[test]
     fn guards_record_across_threads() {
-        let _l = test_lock();
-        enable();
-        reset();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..8 {
-                        drop(scope_bytes(Stage::EventQueueOps, 1));
-                    }
-                });
-            }
+        let ((), prof) = profile(|| {
+            let hp = Profiler::current();
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        for _ in 0..8 {
+                            drop(hp.scope_bytes(Stage::EventQueueOps, 1));
+                            // The spawned thread has no profile of its own.
+                            drop(scope(Stage::EventQueueOps));
+                        }
+                    });
+                }
+            });
         });
-        let prof = snapshot();
-        disable();
         let q = prof.get(Stage::EventQueueOps).unwrap();
         assert_eq!(q.calls, 32);
         assert_eq!(q.bytes, 32);
+    }
+
+    #[test]
+    fn concurrent_profiles_do_not_see_each_other() {
+        let run = |stage: Stage, calls: u64| {
+            move || {
+                profile(|| {
+                    for _ in 0..calls {
+                        drop(scope(stage));
+                    }
+                })
+                .1
+            }
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(run(Stage::Map, 300));
+            let b = s.spawn(run(Stage::Reduce, 200));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.stages.len(), 1);
+        assert_eq!(a.get(Stage::Map).unwrap().calls, 300);
+        assert_eq!(b.stages.len(), 1);
+        assert_eq!(b.get(Stage::Reduce).unwrap().calls, 200);
     }
 
     #[test]
@@ -510,13 +524,9 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_render_lists_stages() {
-        let _l = test_lock();
-        enable();
-        reset();
-        drop(scope_bytes(Stage::DfsSerialization, 4096));
-        let prof = snapshot();
-        disable();
-        let json = prof.to_json(2);
+        let ((), prof) = profile(|| drop(scope_bytes(Stage::DfsSerialization, 4096)));
+        let json = prof.to_json_line();
+        assert_eq!(json.lines().count(), 1);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"dfs_serialization\""));
         assert!(json.contains("\"share\""));

@@ -27,22 +27,28 @@
 //!   [`ChaosInjector`]): node crashes, rack/bisection degradation windows,
 //!   spot-preemption waves and elastic resize, each emitted as trace
 //!   instants so recovery cost is attributable per phase.
+//! * [`trace`] — spans and instants on the simulated clock. It owns the
+//!   ledger-charge format both ways: the ledger writes each charge
+//!   through the [`Tracer`] and [`Trace::charges`] is the one reader
+//!   every byte view builds on. [`trace::check`] is the invariant suite.
 //! * [`timeline`] — the one series pass over a finished trace (charges
 //!   apportioned onto per-class byte buckets, task spans spread over
 //!   busy buckets, the breakpoint rate sweep) and the time-resolved
 //!   utilization view on it: link and slot-pool series against
 //!   [`ClusterSpec`] capacities, bisection saturated-seconds, and
-//!   compute↔comms overlap ([`UtilizationReport`]).
+//!   compute↔comms overlap ([`UtilizationReport`]). Every byte view
+//!   reconciles with the ledger through [`TrafficSnapshot::reconcile`].
 //! * [`hostprof`] — a host-side (wall-clock) stage profiler: RAII scope
-//!   timers over the engine/DFS/event-queue/driver hot paths with a
-//!   zero-cost disabled path, feeding the `BENCH_host.csv` trend gate
-//!   and `pic diff` host-stage attribution ([`HostProfile`]).
+//!   timers over the engine/DFS/event-queue/driver hot paths, recording
+//!   only inside a scoped [`hostprof::profile`] call, feeding the
+//!   `BENCH_host.csv` trend gate and `pic diff` host-stage attribution
+//!   ([`HostProfile`]).
 //! * [`monitor`] — run monitoring: [`Monitor::replay`] over a finished
 //!   trace builds sliding-window series on the simulated clock (a view
-//!   over the [`timeline`] series pass) and evaluates a declarative
-//!   [`AlertRule`] catalog into an incident log; window integrals
-//!   reconcile exactly with the [`TrafficLedger`] (the `pic watch`
-//!   subcommand and the BENCH `monitor` section).
+//!   over the [`timeline`] series pass, sharing its link rollup) and
+//!   evaluates a declarative [`AlertRule`] catalog into an incident log;
+//!   class integrals reconcile exactly with the [`TrafficLedger`] (the
+//!   `pic watch` subcommand and the BENCH `monitor` section).
 //! * [`whatif`] — counterfactual projection over recorded traces:
 //!   declarative scenario edits (scale a link, zero a traffic class,
 //!   drop stragglers, instant merge) replayed as time warps over the

@@ -18,14 +18,16 @@
 //! tripped it, and the deepest trace span enclosing its open time — so
 //! incidents nest in the same span tree the other views use.
 //!
-//! **Reconciliation guarantee.** The per-link and recovery series are
-//! integer sums of the `timeline::TrafficSeries` class buckets, whose
-//! cumulative-rounding apportionment makes every byte integral equal the
-//! [`TrafficLedger`] total for its link class **exactly** (`==`), and the
-//! recovery series integrate to `recovery_total()` exactly.
-//! [`crate::trace::check::monitor_reconciles`] enforces this for every
-//! validated run. Point series are sorted by `(t, seq)`, so the report is
-//! byte-identical across rayon pool widths.
+//! **Reconciliation guarantee.** The report keeps the
+//! `timeline::TrafficSeries` class buckets, whose cumulative-rounding
+//! apportionment makes every class integral equal the [`TrafficLedger`]
+//! total **exactly** (`==`); the link series are integer sums of those
+//! buckets, rolled up by the same `LinkSeries::rollup` the utilization
+//! report uses. [`MonitorReport::reconcile`] checks it per class, and
+//! [`crate::trace::check::series_integrals`] checks the same series pass
+//! on the default grid for every validated run. Point series are sorted
+//! by `(t, seq)`, so the report is byte-identical across rayon pool
+//! widths.
 //!
 //! **Live frames.** Every bucketed series is causal (a bucket depends
 //! only on events at or before its end, and the EWMA runs forward), so
@@ -34,8 +36,8 @@
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
-use crate::report::{fmt_f64, nearest_rank, JsonWriter};
-use crate::timeline::{heat_bar, spread_busy, LinkClass, TrafficSeries};
+use crate::report::{fmt_f64, nearest_rank, peak, JsonWriter};
+use crate::timeline::{class_totals, heat_bar, spread_busy, LinkClass, LinkSeries, TrafficSeries};
 use crate::topology::ClusterSpec;
 use crate::trace::Trace;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
@@ -215,16 +217,6 @@ impl MonitorConfig {
         }
     }
 
-    /// Telemetry-only configuration (no rules) — what the reconciliation
-    /// check pass uses.
-    pub fn telemetry(spec: ClusterSpec) -> MonitorConfig {
-        MonitorConfig {
-            spec,
-            window_s: DEFAULT_WINDOW_S,
-            rules: Vec::new(),
-        }
-    }
-
     /// Bucket width, simulated seconds.
     pub fn bucket_s(&self) -> f64 {
         self.window_s / BUCKETS_PER_WINDOW as f64
@@ -276,22 +268,6 @@ impl Incident {
     }
 }
 
-/// One link class's windowed byte/utilization series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSeries {
-    /// Bytes attributed to each bucket (cumulative-rounding exact).
-    pub bytes: Vec<u64>,
-    /// `bytes[i] / (capacity × bucket_s)` per bucket.
-    pub util: Vec<f64>,
-    /// Exponentially-weighted moving average of `util` with time
-    /// constant `window_s`.
-    pub ewma: Vec<f64>,
-    /// Sum of `bytes` — reconciles exactly with the ledger.
-    pub total_bytes: u64,
-    /// Maximum of `util`.
-    pub peak_util: f64,
-}
-
 /// Straggler statistics for one scheduler wave.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaveStat {
@@ -323,8 +299,15 @@ pub struct MonitorReport {
     pub horizon_s: f64,
     /// Number of buckets covering the horizon.
     pub buckets: usize,
-    /// Per-link-class series, keyed by [`LinkClass::label`].
-    pub links: BTreeMap<&'static str, MonitorSeries>,
+    /// Per-traffic-class bytes per bucket, keyed by
+    /// [`TrafficClass::label`]; each integrates to the ledger total.
+    pub class_bytes: BTreeMap<&'static str, Vec<u64>>,
+    /// Per-link-class series on the bucket grid, keyed by
+    /// [`LinkClass::label`].
+    pub links: BTreeMap<&'static str, LinkSeries>,
+    /// Exponentially-weighted moving average of each link's `util`, with
+    /// time constant `window_s`, keyed like `links`.
+    pub ewma_util: BTreeMap<&'static str, Vec<f64>>,
     /// Quality samples `(t, objective)`, ordered by `(t, seq)`.
     pub quality: Vec<(f64, f64)>,
     /// Best-so-far objective improvement per second, per bucket.
@@ -333,9 +316,7 @@ pub struct MonitorReport {
     pub depth: Vec<f64>,
     /// Maximum of `depth`.
     pub peak_depth: f64,
-    /// Recovery bytes attributed to each bucket (exact).
-    pub recovery_bytes: Vec<u64>,
-    /// `recovery_bytes[i] / bucket_s` per bucket.
+    /// Recovery bytes per second, per bucket.
     pub recovery_rate: Vec<f64>,
     /// Per-wave straggler statistics, ascending by wave.
     pub waves: Vec<WaveStat>,
@@ -353,6 +334,19 @@ fn bucket_of(t: f64, dt: f64) -> usize {
     (t.max(0.0) / dt).floor() as usize
 }
 
+/// The monitor's grid for [`TrafficSeries::over`]: buckets `dt` wide,
+/// as many as cover the horizon (none for an empty run).
+pub(crate) fn bucket_grid(dt: f64) -> impl FnOnce(f64) -> (f64, usize) {
+    move |horizon| {
+        let buckets = if horizon > 0.0 {
+            bucket_of(horizon, dt) + 1
+        } else {
+            0
+        };
+        (dt, buckets)
+    }
+}
+
 /// The monitor: a pure replay of a finished trace into a
 /// [`MonitorReport`]. It holds no state; [`Monitor::replay`] is the
 /// whole interface.
@@ -368,51 +362,23 @@ impl Monitor {
     pub fn replay(cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
         cfg.validate()?;
         let dt = cfg.bucket_s();
-        let traffic = TrafficSeries::over(trace, |horizon| {
-            let buckets = if horizon > 0.0 {
-                bucket_of(horizon, dt) + 1
-            } else {
-                0
-            };
-            (dt, buckets)
-        });
+        let traffic = TrafficSeries::over(trace, bucket_grid(dt));
         let (horizon, buckets) = (traffic.horizon_s, traffic.buckets);
 
-        // Per-link series.
+        // Per-link series and their EWMAs.
         let alpha = 1.0 - (-dt / cfg.window_s).exp();
-        let mut links = BTreeMap::new();
-        for link in LinkClass::ALL {
-            let bytes = traffic.link_bytes(link);
-            let cap = link.capacity(&cfg.spec);
-            let util: Vec<f64> = bytes
-                .iter()
-                .map(|&b| {
-                    if cap > 0.0 && dt > 0.0 {
-                        b as f64 / (cap * dt)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let mut ewma = Vec::with_capacity(util.len());
-            let mut e = 0.0;
-            for u in &util {
-                e = alpha * u + (1.0 - alpha) * e;
-                ewma.push(e);
-            }
-            let total_bytes = bytes.iter().sum();
-            let peak_util = util.iter().copied().fold(0.0, f64::max);
-            links.insert(
-                link.label(),
-                MonitorSeries {
-                    bytes,
-                    util,
-                    ewma,
-                    total_bytes,
-                    peak_util,
-                },
-            );
-        }
+        let links: BTreeMap<&'static str, LinkSeries> = LinkClass::ALL
+            .into_iter()
+            .map(|link| (link.label(), traffic.link(link, &cfg.spec)))
+            .collect();
+        let ewma = |util: &[f64]| -> Vec<f64> {
+            let step = |e: &mut f64, u: &f64| {
+                *e = alpha * u + (1.0 - alpha) * *e;
+                Some(*e)
+            };
+            util.iter().scan(0.0, step).collect()
+        };
+        let ewma_util = links.iter().map(|(&l, s)| (l, ewma(&s.util))).collect();
 
         // Quality samples and injected faults in deterministic (t, seq)
         // order.
@@ -466,11 +432,10 @@ impl Monitor {
             .iter()
             .map(|&s| if dt > 0.0 { s / dt } else { 0.0 })
             .collect();
-        let peak_depth = depth.iter().copied().fold(0.0, f64::max);
+        let peak_depth = peak(&depth);
 
         // Recovery.
-        let recovery_bytes = traffic.class_bytes[TrafficClass::Recovery.label()].clone();
-        let recovery_rate: Vec<f64> = recovery_bytes
+        let recovery_rate: Vec<f64> = traffic.class_bytes[TrafficClass::Recovery.label()]
             .iter()
             .map(|&b| if dt > 0.0 { b as f64 / dt } else { 0.0 })
             .collect();
@@ -504,12 +469,13 @@ impl Monitor {
             bucket_s: dt,
             horizon_s: horizon,
             buckets,
+            class_bytes: traffic.class_bytes,
             links,
+            ewma_util,
             quality,
             quality_rate,
             depth,
             peak_depth,
-            recovery_bytes,
             recovery_rate,
             waves,
             faults: faults.len() as u64,
@@ -619,7 +585,7 @@ fn evaluate_rules(
                     for (a, b) in runs(&hot, s.util.len()) {
                         let dur = (b - a + 1) as f64 * dt;
                         if dur >= rule.window_s {
-                            let peak = s.util[a..=b].iter().copied().fold(0.0, f64::max);
+                            let peak = peak(&s.util[a..=b]);
                             push(
                                 rule,
                                 format!("util:{}", link.label()),
@@ -647,10 +613,7 @@ fn evaluate_rules(
             RuleKind::RecoveryStorm => {
                 let hot = |i: usize| report.recovery_rate[i] >= rule.threshold;
                 for (a, b) in runs(&hot, report.recovery_rate.len()) {
-                    let peak = report.recovery_rate[a..=b]
-                        .iter()
-                        .copied()
-                        .fold(0.0, f64::max);
+                    let peak = peak(&report.recovery_rate[a..=b]);
                     push(
                         rule,
                         "recovery".to_string(),
@@ -724,38 +687,18 @@ impl MonitorReport {
         self.incidents.iter().filter(|i| i.rule == rule).count()
     }
 
+    /// Recovery bytes over the whole run.
+    pub fn recovery_bytes_total(&self) -> u64 {
+        self.class_bytes[TrafficClass::Recovery.label()]
+            .iter()
+            .sum()
+    }
+
     /// The reconciliation guarantee, enforced exactly (`==`): every
-    /// per-link window series integrates to the ledger totals of its
-    /// member traffic classes, and the recovery series integrates to
-    /// `recovery_total()`.
+    /// per-class bucket series integrates to the ledger total of its
+    /// class (the link and recovery series are sums of those).
     pub fn reconcile(&self, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let mut errs = Vec::new();
-        for link in LinkClass::ALL {
-            let expected: u64 = TrafficClass::ALL
-                .iter()
-                .filter(|c| LinkClass::of(**c) == link)
-                .map(|c| ledger.get(*c))
-                .sum();
-            let got = self.links[link.label()].total_bytes;
-            if got != expected {
-                errs.push(format!(
-                    "monitor: {} window integral {got} != ledger total {expected}",
-                    link.label()
-                ));
-            }
-        }
-        let recovery: u64 = self.recovery_bytes.iter().sum();
-        if recovery != ledger.recovery_total() {
-            errs.push(format!(
-                "monitor: recovery window integral {recovery} != ledger total {}",
-                ledger.recovery_total()
-            ));
-        }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        class_totals(&self.class_bytes).reconcile(ledger, "monitor window integral")
     }
 
     /// The scalar summary the regression gate diffs (`BENCH_pic.json`
@@ -802,7 +745,7 @@ impl MonitorReport {
             w.field("total_bytes", &s.total_bytes.to_string());
             w.field("peak_util", &fmt_f64(s.peak_util));
             w.field("bytes", &u64s(&s.bytes));
-            w.field("ewma_util", &f64s(&s.ewma));
+            w.field("ewma_util", &f64s(&self.ewma_util[label]));
             w.close("}");
         }
         w.close("}");
@@ -812,7 +755,7 @@ impl MonitorReport {
         w.field("peak_depth", &fmt_f64(self.peak_depth));
         w.field(
             "recovery_bytes_total",
-            &self.recovery_bytes.iter().sum::<u64>().to_string(),
+            &self.recovery_bytes_total().to_string(),
         );
         w.field("recovery_rate", &f64s(&self.recovery_rate));
         w.open_key("waves", "[");
@@ -889,19 +832,20 @@ impl MonitorReport {
         };
         let mut rows = Vec::new();
         for (label, s) in &self.links {
-            let ewma = &s.ewma[..visible.min(s.ewma.len())];
+            let ewma = &self.ewma_util[label];
+            let ewma = &ewma[..visible.min(ewma.len())];
             let util = &s.util[..visible.min(s.util.len())];
             rows.push((
                 format!("util:{label}"),
                 heat_bar(ewma, width),
                 ewma.last().copied().unwrap_or(0.0),
-                util.iter().copied().fold(0.0, f64::max),
+                peak(util),
             ));
         }
         let norm = |v: &[f64]| -> Vec<f64> {
-            let peak = v.iter().copied().fold(0.0, f64::max);
-            if peak > 0.0 {
-                v.iter().map(|x| x / peak).collect()
+            let top = peak(v);
+            if top > 0.0 {
+                v.iter().map(|x| x / top).collect()
             } else {
                 vec![0.0; v.len()]
             }
@@ -916,7 +860,7 @@ impl MonitorReport {
                 label.to_string(),
                 heat_bar(&norm(series), width),
                 series.last().copied().unwrap_or(0.0),
-                series.iter().copied().fold(0.0, f64::max),
+                peak(series),
             ));
         }
         rows
@@ -925,45 +869,16 @@ impl MonitorReport {
     /// Render the dashboard panel: one sparkline row per series plus the
     /// incident ticker.
     pub fn render(&self, width: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  window {} s, bucket {} s, horizon {:.3} s, {} waves, {} faults",
+        let mut out = format!(
+            "  window {} s, bucket {} s, horizon {:.3} s, {} waves, {} faults\n",
             self.window_s,
             self.bucket_s,
             self.horizon_s,
             self.waves.len(),
             self.faults
         );
-        for (label, bar, last, peak) in self.dashboard_rows(width) {
-            let _ = writeln!(
-                out,
-                "  {label:<14} |{bar}| last {last:>10.4} peak {peak:>10.4}"
-            );
-        }
-        if self.incidents.is_empty() {
-            let _ = writeln!(out, "  incidents: none");
-        } else {
-            let _ = writeln!(
-                out,
-                "  incidents: {} ({:.3} s open)",
-                self.incidents.len(),
-                self.incident_s()
-            );
-            for inc in &self.incidents {
-                let _ = writeln!(
-                    out,
-                    "    [{}] {:<14} {:<18} open {:>9.3} close {:>9.3} peak {:>10.4} in {}",
-                    inc.severity.label(),
-                    inc.rule,
-                    inc.series,
-                    inc.open_s,
-                    inc.close_s,
-                    inc.peak,
-                    inc.span
-                );
-            }
-        }
+        let open = format!(" ({:.3} s open)", self.incident_s());
+        self.write_frame(&mut out, f64::INFINITY, width, &open);
         out
     }
 
@@ -973,13 +888,19 @@ impl MonitorReport {
     /// time show `close      ...` — that is the live-dashboard view
     /// `pic watch --interval` replays frame by frame.
     pub fn render_at(&self, t_s: f64, width: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  t = {:.3} s / {:.3} s",
+        let mut out = format!(
+            "  t = {:.3} s / {:.3} s\n",
             t_s.min(self.horizon_s),
             self.horizon_s
         );
+        self.write_frame(&mut out, t_s, width, "");
+        out
+    }
+
+    /// The rows and incident ticker of [`MonitorReport::render`] and
+    /// [`MonitorReport::render_at`] at `t_s`; `summary` follows the
+    /// incident count.
+    fn write_frame(&self, out: &mut String, t_s: f64, width: usize, summary: &str) {
         for (label, bar, last, peak) in self.rows_at(t_s, width) {
             let _ = writeln!(
                 out,
@@ -989,27 +910,26 @@ impl MonitorReport {
         let opened: Vec<&Incident> = self.incidents.iter().filter(|i| i.open_s <= t_s).collect();
         if opened.is_empty() {
             let _ = writeln!(out, "  incidents: none");
-        } else {
-            let _ = writeln!(out, "  incidents: {}", opened.len());
-            for inc in opened {
-                let close = if inc.close_s <= t_s {
-                    format!("{:>9.3}", inc.close_s)
-                } else {
-                    "      ...".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
-                    inc.severity.label(),
-                    inc.rule,
-                    inc.series,
-                    inc.open_s,
-                    inc.peak,
-                    inc.span
-                );
-            }
+            return;
         }
-        out
+        let _ = writeln!(out, "  incidents: {}{summary}", opened.len());
+        for inc in opened {
+            let close = if inc.close_s <= t_s {
+                format!("{:>9.3}", inc.close_s)
+            } else {
+                "      ...".to_string()
+            };
+            let _ = writeln!(
+                out,
+                "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
+                inc.severity.label(),
+                inc.rule,
+                inc.series,
+                inc.open_s,
+                inc.peak,
+                inc.span
+            );
+        }
     }
 }
 
@@ -1103,7 +1023,7 @@ pub fn openmetrics(entries: &[(Vec<(String, String)>, &MonitorReport)]) -> Strin
                     out,
                     "pic_recovery_bytes_total{} {}",
                     label_set(labels, &[]),
-                    r.recovery_bytes.iter().sum::<u64>()
+                    r.recovery_bytes_total()
                 );
             }
         },
@@ -1478,8 +1398,10 @@ mod tests {
         // And a corrupted ledger is caught.
         let mut bad = ledger.snapshot();
         bad.set(crate::traffic::TrafficClass::DfsRead, 1000);
-        let errs = r.reconcile(&bad).unwrap_err();
-        assert!(errs[0].contains("nic window integral"), "{errs:?}");
+        assert_eq!(
+            r.reconcile(&bad).unwrap_err(),
+            vec!["class dfs-read: monitor window integral 999 bytes, ledger recorded 1000"]
+        );
     }
 
     #[test]

@@ -470,8 +470,8 @@ impl PerfReport {
             );
         }
 
-        // Per-iteration byte attribution: walk each traffic instant's
-        // parent chain to the nearest iteration span.
+        // Per-iteration byte attribution: walk each charge's parent chain
+        // to the nearest iteration span.
         let mut iterations: Vec<IterationRollup> = Vec::new();
         let mut slot_of_span: BTreeMap<usize, usize> = BTreeMap::new();
         for s in &trace.spans {
@@ -494,12 +494,8 @@ impl PerfReport {
             }
         }
         let mut outside_bytes = TrafficSnapshot::default();
-        for i in trace.instants.iter().filter(|i| i.cat == "traffic") {
-            let Some(class) = TrafficClass::from_label(&i.name) else {
-                continue;
-            };
-            let bytes = i.arg_u64("bytes").unwrap_or(0);
-            let mut cur = i.parent;
+        for charge in trace.charges() {
+            let mut cur = charge.parent;
             let mut slot = None;
             while let Some(pid) = cur {
                 if let Some(&s) = slot_of_span.get(&pid.index()) {
@@ -512,7 +508,7 @@ impl PerfReport {
                 Some(s) => &mut iterations[s].bytes,
                 None => &mut outside_bytes,
             };
-            target.set(class, target.get(class) + bytes);
+            target.add(charge.class, charge.bytes);
         }
 
         PerfReport {
@@ -537,24 +533,8 @@ impl PerfReport {
     /// Check that per-iteration attribution reconciles **exactly** with
     /// `ledger` for every class.
     pub fn reconcile(&self, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let attributed = self.attributed_bytes();
-        let errs: Vec<String> = TrafficClass::ALL
-            .into_iter()
-            .filter(|&c| attributed.get(c) != ledger.get(c))
-            .map(|c| {
-                format!(
-                    "class {}: iterations+outside attribute {} bytes, ledger recorded {}",
-                    c.label(),
-                    attributed.get(c),
-                    ledger.get(c)
-                )
-            })
-            .collect();
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        self.attributed_bytes()
+            .reconcile(ledger, "iterations+outside attribute")
     }
 
     /// Human-readable report; the critical path prints at most

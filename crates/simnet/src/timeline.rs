@@ -8,7 +8,7 @@
 //! [`ClusterSpec`]'s capacities it derives:
 //!
 //! * **per-interval byte series per traffic class** — every windowed
-//!   ledger charge (`w0`/`w1` args on `traffic` instants, recorded by
+//!   ledger charge ([`Trace::charges`], recorded by
 //!   [`crate::traffic::TrafficLedger::add_over`]) is spread over the
 //!   grid intervals its window covers using cumulative integer
 //!   rounding, so the per-class series sums **exactly** (`==`) to the
@@ -28,14 +28,16 @@
 //!
 //! **The shared series pass.** This module is the one place where a
 //! finished trace's charges and task spans become series:
-//! `TrafficSeries` collects every charge and the horizon and apportions
+//! `TrafficSeries` reads every charge and the horizon and apportions
 //! the bytes onto per-class buckets of a caller-chosen width,
 //! `spread_busy` spreads a task span's busy seconds over buckets, and
 //! `rate_segments` cuts a link's windowed charges into constant-rate
 //! segments at their breakpoints (`elementary_segments`, which the
-//! what-if time warp also cuts at). The utilization report here, the
-//! [`crate::monitor`] report and the [`crate::whatif`] projections are
-//! views over those three functions.
+//! what-if time warp also cuts at). `LinkSeries::rollup` turns one
+//! link's buckets into utilization and its peak. The utilization report
+//! here, the [`crate::monitor`] report and the [`crate::whatif`]
+//! projections are views over these functions, and every byte view
+//! reconciles through [`TrafficSnapshot::reconcile`].
 //!
 //! Everything is a pure function of simulated time and byte counts, so
 //! the whole report — JSON, CSV, counter tracks — is byte-identical
@@ -43,7 +45,7 @@
 
 use crate::report::{fmt_f64, peak, percentile, JsonWriter};
 use crate::topology::ClusterSpec;
-use crate::trace::{CounterTrack, Span, Trace};
+use crate::trace::{Charge, CounterTrack, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -139,6 +141,33 @@ pub struct LinkSeries {
     pub mean_util: f64,
 }
 
+impl LinkSeries {
+    /// Roll one link's per-bucket `bytes` up over buckets `dt` seconds
+    /// wide on a link of `capacity_bw` bytes/second (utilization is 0
+    /// when either is not positive).
+    pub(crate) fn rollup(bytes: Vec<u64>, capacity_bw: f64, dt: f64) -> LinkSeries {
+        let util: Vec<f64> = bytes
+            .iter()
+            .map(|&b| {
+                if capacity_bw > 0.0 && dt > 0.0 {
+                    b as f64 / (capacity_bw * dt)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        LinkSeries {
+            capacity_bw,
+            total_bytes: bytes.iter().sum(),
+            peak_util: peak(&util),
+            p95_util: percentile(&util, 95.0),
+            mean_util: util.iter().sum::<f64>() / util.len().max(1) as f64,
+            bytes,
+            util,
+        }
+    }
+}
+
 /// Per-interval occupancy series for one slot group (`map`, `red`,
 /// `solve`).
 #[derive(Debug, Clone, PartialEq)]
@@ -212,53 +241,23 @@ fn grid_dt(horizon_s: f64, intervals: usize) -> f64 {
     }
 }
 
-/// One ledger charge with its attribution window (`w1 == w0` for
-/// impulse charges).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Charge {
-    /// The traffic class billed.
-    pub class: TrafficClass,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Window start, simulated seconds.
-    pub w0: f64,
-    /// Window end, simulated seconds (`== w0` for impulses).
-    pub w1: f64,
+/// End of the timeline: the max over span ends, instant timestamps and
+/// charge-window ends.
+fn horizon_of(trace: &Trace, charges: &[Charge]) -> f64 {
+    let spans = trace.spans.iter().flat_map(|s| [s.t0, s.t1]);
+    let instants = trace.instants.iter().map(|i| i.t);
+    let windows = charges.iter().map(|c| c.w1);
+    spans.chain(instants).chain(windows).fold(0.0, f64::max)
 }
 
-/// Extract every windowed ledger charge from `trace` (the `traffic`
-/// instants recorded by [`crate::traffic::TrafficLedger`]) along with
-/// the timeline horizon (max over span ends, instant timestamps and
-/// charge-window ends). The only parser of `traffic` instants for the
-/// series views.
-pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
-    let mut charges: Vec<Charge> = Vec::new();
-    let mut horizon = 0.0f64;
-    for s in &trace.spans {
-        horizon = horizon.max(s.t1).max(s.t0);
+/// Per-class integrals of bucketed byte series keyed by
+/// [`TrafficClass::label`] — what the series views reconcile.
+pub(crate) fn class_totals(class_bytes: &BTreeMap<&'static str, Vec<u64>>) -> TrafficSnapshot {
+    let mut totals = TrafficSnapshot::default();
+    for class in TrafficClass::ALL {
+        totals.add(class, class_bytes[class.label()].iter().sum());
     }
-    for i in &trace.instants {
-        horizon = horizon.max(i.t);
-        if i.cat != "traffic" {
-            continue;
-        }
-        let Some(class) = TrafficClass::from_label(&i.name) else {
-            continue;
-        };
-        let bytes = i.arg_u64("bytes").unwrap_or(0);
-        let (w0, w1) = match (i.arg_f64("w0"), i.arg_f64("w1")) {
-            (Some(a), Some(b)) if b >= a => (a, b),
-            _ => (i.t, i.t),
-        };
-        horizon = horizon.max(w1);
-        charges.push(Charge {
-            class,
-            bytes,
-            w0,
-            w1,
-        });
-    }
-    (charges, horizon)
+    totals
 }
 
 /// Spread `bytes` over `[w0, w1]` on the grid by cumulative rounding:
@@ -308,7 +307,7 @@ fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
 /// reconcile exactly too.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrafficSeries {
-    /// Every charge, in recording order (see [`collect_charges`]).
+    /// Every charge, in recording order (see [`Trace::charges`]).
     pub charges: Vec<Charge>,
     /// End of the timeline, simulated seconds.
     pub horizon_s: f64,
@@ -322,10 +321,11 @@ pub(crate) struct TrafficSeries {
 }
 
 impl TrafficSeries {
-    /// Collect `trace`'s charges and apportion them onto the grid that
+    /// Read `trace`'s charges and apportion them onto the grid that
     /// `grid` picks for the horizon: `grid(horizon) = (width, buckets)`.
     pub(crate) fn over(trace: &Trace, grid: impl FnOnce(f64) -> (f64, usize)) -> TrafficSeries {
-        let (charges, horizon_s) = collect_charges(trace);
+        let charges: Vec<Charge> = trace.charges().collect();
+        let horizon_s = horizon_of(trace, &charges);
         let (dt, buckets) = grid(horizon_s);
         let mut class_bytes: BTreeMap<&'static str, Vec<u64>> = TrafficClass::ALL
             .into_iter()
@@ -346,8 +346,9 @@ impl TrafficSeries {
         }
     }
 
-    /// Bytes per bucket on `link`: the sum of its member classes.
-    pub(crate) fn link_bytes(&self, link: LinkClass) -> Vec<u64> {
+    /// One link's buckets — the sums of its member classes' buckets —
+    /// rolled up against `spec`'s capacity.
+    pub(crate) fn link(&self, link: LinkClass, spec: &ClusterSpec) -> LinkSeries {
         let mut bytes = vec![0u64; self.buckets];
         for class in TrafficClass::ALL {
             if LinkClass::of(class) == link {
@@ -356,7 +357,7 @@ impl TrafficSeries {
                 }
             }
         }
-        bytes
+        LinkSeries::rollup(bytes, link.capacity(spec), self.dt)
     }
 }
 
@@ -415,38 +416,10 @@ impl UtilizationReport {
         let series = TrafficSeries::over(trace, |h| (grid_dt(h, intervals), intervals));
         let (horizon, dt) = (series.horizon_s, series.dt);
 
-        // ---- Link rollups. ----------------------------------------------
-        let mut links: BTreeMap<&'static str, LinkSeries> = BTreeMap::new();
-        for link in LinkClass::ALL {
-            let capacity = link.capacity(spec);
-            let bytes = series.link_bytes(link);
-            let util: Vec<f64> = bytes
-                .iter()
-                .map(|&b| {
-                    if dt > 0.0 {
-                        b as f64 / (capacity * dt)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let total_bytes = bytes.iter().sum();
-            let peak_util = peak(&util);
-            let p95_util = percentile(&util, 95.0);
-            let mean_util = util.iter().sum::<f64>() / intervals as f64;
-            links.insert(
-                link.label(),
-                LinkSeries {
-                    capacity_bw: capacity,
-                    bytes,
-                    util,
-                    total_bytes,
-                    peak_util,
-                    p95_util,
-                    mean_util,
-                },
-            );
-        }
+        let links: BTreeMap<&'static str, LinkSeries> = LinkClass::ALL
+            .into_iter()
+            .map(|link| (link.label(), series.link(link, spec)))
+            .collect();
 
         // ---- Slot occupancy. --------------------------------------------
         let mut slots: BTreeMap<String, SlotSeries> = BTreeMap::new();
@@ -524,18 +497,10 @@ impl UtilizationReport {
     /// and occupancy must never exceed the group's slot count. Returns
     /// every violation found.
     pub fn reconcile(&self, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let mut errs = Vec::new();
-        for class in TrafficClass::ALL {
-            let total: u64 = self.class_bytes[class.label()].iter().sum();
-            if total != ledger.get(class) {
-                errs.push(format!(
-                    "class {}: timeline integral {} bytes, ledger recorded {}",
-                    class.label(),
-                    total,
-                    ledger.get(class)
-                ));
-            }
-        }
+        let mut errs = class_totals(&self.class_bytes)
+            .reconcile(ledger, "timeline integral")
+            .err()
+            .unwrap_or_default();
         for (group, s) in &self.slots {
             let tol = 1e-9 * s.task_span_s.abs().max(s.busy_integral_s.abs()).max(1.0);
             if (s.busy_integral_s - s.task_span_s).abs() > tol {
@@ -927,6 +892,7 @@ mod tests {
             bytes: 7,
             w0: 1.3,
             w1: 4.8,
+            parent: None,
         };
         apportion(&mut series, &charge, 1.0);
         assert_eq!(series.iter().sum::<u64>(), 7, "{series:?}");
@@ -942,6 +908,7 @@ mod tests {
             bytes: 100,
             w0: 2.5,
             w1: 2.5,
+            parent: None,
         };
         apportion(&mut series, &charge, 1.0);
         assert_eq!(series, vec![0, 0, 100, 0]);
@@ -999,6 +966,7 @@ mod tests {
             bytes,
             w0,
             w1,
+            parent: None,
         };
         let charges = [
             charge(TrafficClass::ShuffleBisection, 400, 0.0, 4.0),

@@ -18,6 +18,12 @@
 //!   the ledger itself emits the traffic events, the bytes attributed in
 //!   a trace reconcile **exactly** (`==`) with the ledger's totals.
 //!
+//! This module owns the charge format both ways:
+//! [`Tracer::traffic_event`] / [`Tracer::traffic_event_over`] write it
+//! and [`Trace::charges`] is its one reader. Totals, the metrics
+//! registry, the perf report, the timeline series pass and the what-if
+//! engine all read [`Charge`]s, never the instants.
+//!
 //! Two time bases coexist: span boundaries are simulated seconds, while
 //! host-side wall-clock measurements ride along as args whose key starts
 //! with `host_`. [`Trace::without_host_args`] strips the latter, leaving a
@@ -28,7 +34,8 @@
 //! Perfetto JSON format (serde is a vendored no-op stand-in, so the JSON
 //! is rendered by hand). [`MetricsRegistry::from_trace`] derives per-phase
 //! time, per-class bytes and counter rollups, and [`check`] holds the
-//! reusable trace invariants the test suite asserts.
+//! reusable trace invariants the test suite asserts; its byte checks
+//! compare through [`TrafficSnapshot::reconcile`].
 
 use crate::clock::SimClock;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
@@ -158,6 +165,25 @@ pub struct Trace {
 
 /// The default display lane for driver-side spans and events.
 pub const DRIVER_LANE: &str = "driver";
+
+/// Category of the instants recording ledger charges (see [`Charge`]).
+const TRAFFIC_CAT: &str = "traffic";
+
+/// One ledger charge as recorded in a trace, with its attribution window
+/// (`w1 == w0` for impulse charges).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Charge {
+    /// The traffic class billed.
+    pub class: TrafficClass,
+    /// Bytes moved.
+    pub bytes: u64,
+    /// Window start, simulated seconds.
+    pub w0: f64,
+    /// Window end, simulated seconds (`== w0` for impulses).
+    pub w1: f64,
+    /// The span open when the charge was recorded, if any.
+    pub parent: Option<SpanId>,
+}
 
 /// The display lane carrying derived counter tracks in the Chrome
 /// export ([`Trace::to_chrome_json_with_counters`]).
@@ -394,13 +420,14 @@ impl Tracer {
     /// class, category `traffic`, carrying the byte payload. Called by
     /// [`crate::traffic::TrafficLedger::add`] on traced ledgers, which
     /// is what makes traced bytes reconcile exactly with ledger totals.
+    /// [`Trace::charges`] is the matching decoder.
     pub fn traffic_event(&self, class: TrafficClass, bytes: u64) {
         if self.inner.is_none() {
             return;
         }
         self.instant(
             class.label(),
-            "traffic",
+            TRAFFIC_CAT,
             vec![("bytes".to_string(), Payload::U64(bytes))],
         );
     }
@@ -409,7 +436,7 @@ impl Tracer {
     /// simulated window `[w0, w1]`. The window rides along as `w0`/`w1`
     /// args so `crate::timeline` can spread the bytes over the interval
     /// they actually moved in; byte reconciliation is untouched because
-    /// [`Trace::traffic_totals`] only reads the `bytes` payload. Called by
+    /// totals only read the `bytes` payload. Called by
     /// [`crate::traffic::TrafficLedger::add_over`].
     /// The instant is stamped at `w0` — the moment the transfer starts —
     /// not at the emission clock: the engine assembles whole jobs with
@@ -422,7 +449,7 @@ impl Tracer {
         }
         self.instant_at(
             class.label(),
-            "traffic",
+            TRAFFIC_CAT,
             w0,
             vec![
                 ("bytes".to_string(), Payload::U64(bytes)),
@@ -484,18 +511,36 @@ impl Trace {
         }
     }
 
-    /// Sum of traced bytes per traffic class (from `traffic` instants).
+    /// Every ledger charge in recording order: the decoder of the
+    /// instants [`Tracer::traffic_event`] and
+    /// [`Tracer::traffic_event_over`] write, and the one reader of that
+    /// format. A charge without a well-formed window (`w1 >= w0`) is an
+    /// impulse at its timestamp.
+    pub fn charges(&self) -> impl Iterator<Item = Charge> + '_ {
+        self.instants
+            .iter()
+            .filter(|i| i.cat == TRAFFIC_CAT)
+            .filter_map(|i| {
+                let class = TrafficClass::from_label(&i.name)?;
+                let (w0, w1) = match (i.arg_f64("w0"), i.arg_f64("w1")) {
+                    (Some(a), Some(b)) if b >= a => (a, b),
+                    _ => (i.t, i.t),
+                };
+                Some(Charge {
+                    class,
+                    bytes: i.arg_u64("bytes").unwrap_or(0),
+                    w0,
+                    w1,
+                    parent: i.parent,
+                })
+            })
+    }
+
+    /// Sum of traced bytes per traffic class.
     pub fn traffic_totals(&self) -> TrafficSnapshot {
-        let mut by_label: BTreeMap<&str, u64> = BTreeMap::new();
-        for i in &self.instants {
-            if i.cat != "traffic" {
-                continue;
-            }
-            *by_label.entry(i.name.as_str()).or_insert(0) += i.arg_u64("bytes").unwrap_or(0);
-        }
         let mut snap = TrafficSnapshot::default();
-        for c in TrafficClass::ALL {
-            snap.set(c, by_label.get(c.label()).copied().unwrap_or(0));
+        for c in self.charges() {
+            snap.add(c.class, c.bytes);
         }
         snap
     }
@@ -660,12 +705,13 @@ impl MetricsRegistry {
                     .or_insert(0.0) += (s.t1 - s.t0).max(0.0);
             }
         }
+        for c in trace.charges() {
+            *m.class_bytes
+                .entry(c.class.label().to_string())
+                .or_insert(0) += c.bytes;
+        }
         for i in &trace.instants {
             match i.cat {
-                "traffic" => {
-                    *m.class_bytes.entry(i.name.clone()).or_insert(0) +=
-                        i.arg_u64("bytes").unwrap_or(0);
-                }
                 "counter" => {
                     *m.counters.entry(i.name.clone()).or_insert(0) +=
                         i.arg_u64("value").unwrap_or(0);
@@ -706,7 +752,7 @@ impl MetricsRegistry {
 /// the CI smoke binary can print them.
 pub mod check {
     use super::{Span, Trace};
-    use crate::traffic::{TrafficClass, TrafficSnapshot};
+    use crate::traffic::TrafficSnapshot;
     use std::collections::BTreeMap;
 
     /// `a <= b` with a relative epsilon, for simulated-time sums that
@@ -822,23 +868,19 @@ pub mod check {
     /// Traced bytes reconcile **exactly** with the ledger: summing the
     /// `traffic` instants per class equals `ledger` for every class.
     pub fn bytes_attributed(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let totals = trace.traffic_totals();
-        let mut errs = Vec::new();
-        for c in TrafficClass::ALL {
-            if totals.get(c) != ledger.get(c) {
-                errs.push(format!(
-                    "class {}: trace attributes {} bytes, ledger recorded {}",
-                    c.label(),
-                    totals.get(c),
-                    ledger.get(c)
-                ));
-            }
-        }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        trace.traffic_totals().reconcile(ledger, "trace attributes")
+    }
+
+    /// The shared series pass reconciles **exactly** with the ledger: on
+    /// the monitor's default bucket grid, every class's bucket integral
+    /// equals the ledger total. The grid only decides where bytes land,
+    /// never how many, so this holds for the utilization report and any
+    /// monitor window as well.
+    pub fn series_integrals(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
+        use crate::{monitor, timeline};
+        let dt = monitor::DEFAULT_WINDOW_S / monitor::BUCKETS_PER_WINDOW as f64;
+        let series = timeline::TrafficSeries::over(trace, monitor::bucket_grid(dt));
+        timeline::class_totals(&series.class_bytes).reconcile(ledger, "window integral")
     }
 
     /// Span categories that may enclose a `quality` instant: the three
@@ -912,23 +954,10 @@ pub mod check {
             .sum()
     }
 
-    /// The monitor's sliding-window series reconcile **exactly** with
-    /// the ledger: replaying the trace through a telemetry-only
-    /// [`crate::monitor::Monitor`] yields per-link window integrals
-    /// equal to the summed ledger totals of each link's traffic
-    /// classes, and a recovery series integrating to
-    /// `recovery_total()`. Capacities do not affect byte sums, so any
-    /// spec works; the small preset is used.
-    pub fn monitor_reconciles(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let cfg = crate::monitor::MonitorConfig::telemetry(crate::topology::ClusterSpec::small());
-        let report = crate::monitor::Monitor::replay(cfg, trace).map_err(|e| vec![e])?;
-        report.reconcile(ledger)
-    }
-
     /// Run the whole structural suite: nesting, slot non-overlap, exact
     /// byte attribution against `ledger`, quality-sample placement, the
     /// chaos checks (crash clear of merge barriers, degradation
-    /// windows inside the run), and the monitor window-integral
+    /// windows inside the run), and the series-pass window-integral
     /// reconciliation.
     pub fn validate(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
@@ -938,7 +967,7 @@ pub mod check {
             bytes_attributed(trace, ledger),
             quality_samples(trace),
             crate::chaos::check_chaos(trace),
-            monitor_reconciles(trace, ledger),
+            series_integrals(trace, ledger),
         ] {
             if let Err(mut e) = r {
                 errs.append(&mut e);
@@ -1088,6 +1117,36 @@ mod tests {
         check::bytes_attributed(&tr, &expect).unwrap();
         expect.set(TrafficClass::Merge, 8);
         assert!(check::bytes_attributed(&tr, &expect).is_err());
+    }
+
+    #[test]
+    fn charges_decode_what_the_tracer_encodes() {
+        let (t, clock) = tracer();
+        clock.lock().advance(1.0);
+        let job = t.begin("job", "job");
+        t.traffic_event(TrafficClass::Broadcast, 10);
+        t.traffic_event_over(TrafficClass::Merge, 20, 2.0, 5.0);
+        // A reversed window degrades to an impulse at the instant.
+        t.traffic_event_over(TrafficClass::Recovery, 30, 4.0, 3.0);
+        t.end(job);
+        t.instant("retry", "sched", Vec::new());
+        t.traffic_event(TrafficClass::DfsRead, 40);
+        let charge = |class, bytes, w0, w1, parent| Charge {
+            class,
+            bytes,
+            w0,
+            w1,
+            parent,
+        };
+        assert_eq!(
+            t.trace().charges().collect::<Vec<_>>(),
+            vec![
+                charge(TrafficClass::Broadcast, 10, 1.0, 1.0, Some(job)),
+                charge(TrafficClass::Merge, 20, 2.0, 5.0, Some(job)),
+                charge(TrafficClass::Recovery, 30, 4.0, 4.0, Some(job)),
+                charge(TrafficClass::DfsRead, 40, 1.0, 1.0, None),
+            ]
+        );
     }
 
     #[test]

@@ -175,6 +175,35 @@ impl TrafficSnapshot {
         self.bytes[class.index()] = v;
     }
 
+    /// Add `bytes` to `class`.
+    pub(crate) fn add(&mut self, class: TrafficClass, bytes: u64) {
+        self.bytes[class.index()] += bytes;
+    }
+
+    /// The one ledger comparison every reconciling view shares: each
+    /// class of `self` must equal `ledger` **exactly**. Violations come
+    /// back in [`TrafficClass::ALL`] order as
+    /// `class {label}: {what} {got} bytes, ledger recorded {expected}`.
+    pub fn reconcile(&self, ledger: &TrafficSnapshot, what: &str) -> Result<(), Vec<String>> {
+        let errs: Vec<String> = TrafficClass::ALL
+            .into_iter()
+            .filter(|&c| self.get(c) != ledger.get(c))
+            .map(|c| {
+                format!(
+                    "class {}: {what} {} bytes, ledger recorded {}",
+                    c.label(),
+                    self.get(c),
+                    ledger.get(c)
+                )
+            })
+            .collect();
+        if errs.is_empty() {
+            Ok(())
+        } else {
+            Err(errs)
+        }
+    }
+
     /// Total shuffle bytes regardless of where they travelled — this is the
     /// "intermediate data" row of the paper's Table II.
     pub fn shuffle_total(&self) -> u64 {
@@ -313,6 +342,24 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(l.get(TrafficClass::ShuffleBisection), 80_000);
+    }
+
+    #[test]
+    fn reconcile_names_every_differing_class_in_display_order() {
+        let mut got = TrafficSnapshot::default();
+        got.add(TrafficClass::Recovery, 5);
+        got.add(TrafficClass::ShuffleRack, 2);
+        assert_eq!(got.reconcile(&got, "x"), Ok(()));
+        let errs = got
+            .reconcile(&TrafficSnapshot::default(), "series integral")
+            .unwrap_err();
+        assert_eq!(
+            errs,
+            vec![
+                "class shuffle-rack: series integral 2 bytes, ledger recorded 0",
+                "class recovery: series integral 5 bytes, ledger recorded 0",
+            ]
+        );
     }
 
     #[test]

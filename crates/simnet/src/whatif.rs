@@ -43,11 +43,10 @@ use crate::report::{
     fmt_f64, percentile, CriticalPath, JsonWriter, QualityPoint, QualityReport, TIME_TO_WITHIN_PCTS,
 };
 use crate::timeline::{
-    collect_charges, elementary_segments, rate_segments, saturation_sweep, Charge, LinkClass,
-    SATURATION_THRESHOLD,
+    elementary_segments, rate_segments, saturation_sweep, LinkClass, SATURATION_THRESHOLD,
 };
 use crate::topology::ClusterSpec;
-use crate::trace::{json_string, Span, Trace};
+use crate::trace::{json_string, Charge, Span, Trace};
 use crate::traffic::TrafficClass;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -375,7 +374,7 @@ impl<'a> WhatIf<'a> {
         let path = CriticalPath::from_trace(trace)?;
         let root = &trace.spans[path.root.index()];
         let (root_t0, root_t1) = (root.t0, root.t1);
-        let (charges, _) = collect_charges(trace);
+        let charges = trace.charges().collect();
         let mut baseline_phases: BTreeMap<String, f64> = BTreeMap::new();
         for s in &trace.spans {
             if let Some(key) = phase_key(s) {
